@@ -3,16 +3,20 @@
 // arrays, as in GFS/Ceph). Replica array r uses the affine arrangement
 // a(i,j) -> (<i + c_r j>_n, i) with distinct multipliers c_r coprime to
 // n, preserving the paper's three properties per array and pairwise
-// one-element overlap across arrays.
+// one-element overlap across arrays. The R = 2 arrays run through the
+// same Architecture, planner, DiskArray, executor and online engine as
+// the paper's R = 1 mirror.
 //
 // Reported: average read accesses and rebuild read throughput over all
 // single and double failures, traditional vs shifted, n = 3..7.
 #include <cstdio>
+#include <cstdlib>
 
 #include "common.hpp"
-#include "multimirror/multi_array.hpp"
-#include "multimirror/multi_mirror.hpp"
-#include "multimirror/multi_online.hpp"
+#include "recon/analytic.hpp"
+#include "recon/executor.hpp"
+#include "recon/online.hpp"
+#include "recon/plan.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -25,16 +29,38 @@ struct Cell {
   double mbps = 0;
 };
 
+constexpr int kReplicas = 2;
+
+layout::Architecture three_mirror(int n, bool shifted) {
+  auto arch = layout::Architecture::mirror_named(
+      n, shifted ? "shifted" : "traditional", kReplicas);
+  if (!arch.is_ok()) {
+    std::fprintf(stderr, "three-mirror layout: %s\n",
+                 arch.status().to_string().c_str());
+    std::exit(1);
+  }
+  return std::move(arch).take();
+}
+
+array::ArrayConfig array_config(const layout::Architecture& arch,
+                                int stripes, std::size_t content_bytes) {
+  array::ArrayConfig cfg;
+  cfg.arch = arch;
+  cfg.stripes = stripes;
+  cfg.content_bytes = content_bytes;
+  cfg.logical_element_bytes = 4ull * 1000 * 1000;
+  cfg.seed = 3;
+  return cfg;
+}
+
 Cell sweep(int n, bool shifted, int failures) {
-  mm::MultiArrayConfig proto;
-  proto.layout.n = n;
-  proto.layout.replica_arrays = 2;
-  proto.layout.shifted = shifted;
-  proto.content_bytes = 128;
+  const layout::Architecture arch = three_mirror(n, shifted);
+  const array::ArrayConfig proto =
+      array_config(arch, arch.total_disks(), 128);
 
   // Enumerate failure sets.
   std::vector<std::vector<int>> sets;
-  const int total = 3 * n;
+  const int total = arch.total_disks();
   if (failures == 1) {
     for (int d = 0; d < total; ++d) sets.push_back({d});
   } else {
@@ -44,12 +70,10 @@ Cell sweep(int n, bool shifted, int failures) {
 
   std::vector<Cell> results(sets.size());
   parallel_for(sets.size(), [&](std::size_t i) {
-    auto arrr = mm::MultiMirrorArray::create(proto);
-    if (!arrr.is_ok()) return;
-    auto& arr = arrr.value();
+    array::DiskArray arr(proto);
     arr.initialize();
     for (const int d : sets[i]) arr.fail_physical(d);
-    auto report = arr.reconstruct();
+    auto report = recon::reconstruct(arr);
     if (!report.is_ok()) {
       std::fprintf(stderr, "three-mirror rebuild failed: %s\n",
                    report.status().to_string().c_str());
@@ -92,16 +116,10 @@ int main() {
   // Table-I analogue for the three-mirror extension: double failures by
   // class (n = 5).
   for (const bool shifted : {false, true}) {
-    mm::MultiMirrorConfig cfg;
-    cfg.n = 5;
-    cfg.replica_arrays = 2;
-    cfg.shifted = shifted;
-    auto m = mm::MultiMirror::create(cfg);
-    if (!m.is_ok()) return 1;
-    Table cases(std::string("Double-failure classes, ") +
-                m.value().name());
+    const layout::Architecture arch = three_mirror(5, shifted);
+    Table cases("Double-failure classes, " + arch.name() + " (n=5)");
     cases.set_header({"class", "cases", "min", "avg", "max"});
-    for (const auto& row : m.value().enumerate_double_failure_cases())
+    for (const auto& row : recon::double_failure_classes(arch))
       cases.add_row({row.label,
                      Table::num(static_cast<std::uint64_t>(row.cases)),
                      Table::num(row.min_accesses),
@@ -116,24 +134,16 @@ int main() {
   online.set_header({"arrangement", "rebuild done (s)", "read mean (ms)",
                      "read p99 (ms)", "degraded reads"});
   for (const bool shifted : {false, true}) {
-    mm::MultiArrayConfig cfg;
-    cfg.layout.n = 5;
-    cfg.layout.replica_arrays = 2;
-    cfg.layout.shifted = shifted;
-    cfg.stripes = 4 * 15;
-    cfg.content_bytes = 64;
-    auto arrr = mm::MultiMirrorArray::create(cfg);
-    if (!arrr.is_ok()) return 1;
-    auto& arr = arrr.value();
+    array::DiskArray arr(array_config(three_mirror(5, shifted), 4 * 15, 64));
     arr.initialize();
     arr.fail_physical(0);
-    mm::MmOnlineConfig ocfg;
+    recon::OnlineConfig ocfg;
     ocfg.arrival.rate_hz = 30;
     ocfg.arrival.max_requests = 500;
     ocfg.arrival.seed = 2012;
-    auto report = mm::run_online_reconstruction(arr, ocfg);
+    auto report = recon::run_online_reconstruction(arr, ocfg);
     if (!report.is_ok()) {
-      std::fprintf(stderr, "mm online failed: %s\n",
+      std::fprintf(stderr, "three-mirror online failed: %s\n",
                    report.status().to_string().c_str());
       return 1;
     }

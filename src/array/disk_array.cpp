@@ -57,8 +57,6 @@ DiskArray::DiskArray(ArrayConfig cfg)
   if (cfg_.drl_region_stripes > 0)
     drl_ = integrity::DirtyRegionLog(cfg_.stripes, cfg_.drl_region_stripes);
   if (cfg_.checksums) sums_ = integrity::ChecksumStore(physical_count(), slots);
-  backoff_base_ = cfg_.retry_backoff_base_s > 0.0 ? cfg_.retry_backoff_base_s
-                                                  : cfg_.retry_backoff_s;
   retry_jitter_state_ = cfg_.seed ^ 0xa0761d6478bd642fULL;
   splitmix64(retry_jitter_state_);
   // Only the array-wide profile arms a crash: a power loss takes out the
@@ -116,13 +114,15 @@ void DiskArray::init_mirror_stripe(int stripe) {
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < arch.rows(); ++j)
       expected_data(i, stripe, j, content(arch.data_disk(i), stripe, j));
-  // Mirror disks via the arrangement.
+  // Mirror disks via each replica array's arrangement.
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < arch.rows(); ++j) {
-      const layout::Pos replica = arch.replica_of(i, j);
-      auto dst = content(replica.disk, stripe, replica.row);
       auto src = content(arch.data_disk(i), stripe, j);
-      std::copy(src.begin(), src.end(), dst.begin());
+      for (int r = 1; r <= arch.replicas(); ++r) {
+        const layout::Pos replica = arch.replica_of(i, j, r);
+        auto dst = content(replica.disk, stripe, replica.row);
+        std::copy(src.begin(), src.end(), dst.begin());
+      }
     }
   }
   // Parity disk: c_j = XOR_i a(i, j).
@@ -196,8 +196,9 @@ Status DiskArray::verify_mirror_stripe(int stripe) const {
         if (!std::equal(got.begin(), got.end(), expect.begin()))
           return mismatch("data", arch.data_disk(i), stripe, j);
       }
-      const layout::Pos replica = arch.replica_of(i, j);
-      if (live(replica.disk)) {
+      for (int r = 1; r <= arch.replicas(); ++r) {
+        const layout::Pos replica = arch.replica_of(i, j, r);
+        if (!live(replica.disk)) continue;
         auto got = content(replica.disk, stripe, replica.row);
         if (!std::equal(got.begin(), got.end(), expect.begin()))
           return mismatch("mirror", replica.disk, stripe, replica.row);
@@ -265,16 +266,18 @@ Status DiskArray::verify_consistency(const ElementSet* skip) const {
       for (int i = 0; i < n; ++i) {
         if (!live(cfg_.arch.data_disk(i))) continue;
         for (int j = 0; j < cfg_.arch.rows(); ++j) {
-          const layout::Pos replica = cfg_.arch.replica_of(i, j);
-          if (!live(replica.disk)) continue;
-          if (skipped(cfg_.arch.data_disk(i), s, j) ||
-              skipped(replica.disk, s, replica.row))
-            continue;
-          auto data = content(cfg_.arch.data_disk(i), s, j);
-          auto mirror = content(replica.disk, s, replica.row);
-          if (!std::equal(data.begin(), data.end(), mirror.begin()))
-            return mismatch("mirror-consistency", replica.disk, s,
-                            replica.row);
+          for (int r = 1; r <= cfg_.arch.replicas(); ++r) {
+            const layout::Pos replica = cfg_.arch.replica_of(i, j, r);
+            if (!live(replica.disk)) continue;
+            if (skipped(cfg_.arch.data_disk(i), s, j) ||
+                skipped(replica.disk, s, replica.row))
+              continue;
+            auto data = content(cfg_.arch.data_disk(i), s, j);
+            auto mirror = content(replica.disk, s, replica.row);
+            if (!std::equal(data.begin(), data.end(), mirror.begin()))
+              return mismatch("mirror-consistency", replica.disk, s,
+                              replica.row);
+          }
         }
       }
       if (cfg_.arch.has_parity() && live(cfg_.arch.parity_disk())) {
@@ -505,7 +508,8 @@ void DiskArray::lose_write(const Op& op) {
 
 double DiskArray::retry_delay(int attempt) {
   const int exp = std::min(attempt - 1, 62);
-  double delay = backoff_base_ * static_cast<double>(1ULL << exp);
+  double delay =
+      cfg_.retry_backoff_base_s * static_cast<double>(1ULL << exp);
   if (cfg_.retry_backoff_cap_s > 0.0)
     delay = std::min(delay, cfg_.retry_backoff_cap_s);
   if (cfg_.retry_backoff_jitter > 0.0) {
@@ -605,7 +609,7 @@ BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
         // backs off (capped exponential, seeded jitter) after the
         // failed attempt drains. The guard keeps the default (0) path
         // bit-identical.
-        if (backoff_base_ > 0.0)
+        if (cfg_.retry_backoff_base_s > 0.0)
           earliest = d.busy_until() + retry_delay(attempts);
         if (observer_ != nullptr) {
           obs::TraceEvent ev;
@@ -711,7 +715,7 @@ BatchStats DiskArray::execute_batched(std::span<const Op> ops,
         if (transient && attempts < cfg_.io_max_retries) {
           ++attempts;
           ++stats.retried_ops;
-          if (backoff_base_ > 0.0)
+          if (cfg_.retry_backoff_base_s > 0.0)
             earliest = d.busy_until() + retry_delay(attempts);
           continue;
         }

@@ -22,8 +22,9 @@ std::uint64_t request_seed(std::uint64_t base, int request) {
 Result<CrashWorkloadReport> run_crash_workload(array::DiskArray& arr,
                                                const CrashWorkloadConfig& cfg) {
   const auto& arch = arr.arch();
-  if (!arch.is_mirror())
-    return invalid_argument("crash workload supports the mirror architectures");
+  if (!arch.is_mirror() || arch.replicas() > 1)
+    return invalid_argument("crash workload supports the single-replica "
+                            "mirror architectures");
   if (cfg.requests <= 0) return invalid_argument("requests must be positive");
   if (arr.crashed())
     return failed_precondition("crash workload on a powered-off array");
@@ -100,8 +101,9 @@ Result<std::vector<InjectedCorruption>> inject_silent_corruption(
   if (!arr.failed_physical().empty())
     return failed_precondition("inject_silent_corruption on a degraded array");
   if (kind != SilentCorruption::kBitRot) {
-    if (!arch.is_mirror())
-      return invalid_argument("lost/misdirected writes need a mirror replica");
+    if (!arch.is_mirror() || arch.replicas() > 1)
+      return invalid_argument(
+          "lost/misdirected writes need a single-replica mirror");
     if (!arr.checksums_enabled())
       return failed_precondition(
           "lost/misdirected writes are checksum-vs-content divergences; "

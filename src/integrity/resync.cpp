@@ -19,8 +19,9 @@ bool equal_spans(std::span<const std::uint8_t> a,
 
 Result<ResyncReport> resync(array::DiskArray& arr, const ResyncOptions& opts) {
   const auto& arch = arr.arch();
-  if (!arch.is_mirror())
-    return invalid_argument("resync supports the mirror architectures");
+  if (!arch.is_mirror() || arch.replicas() > 1)
+    return invalid_argument("resync supports the single-replica mirror "
+                            "architectures");
   if (arr.crashed())
     return failed_precondition("resync on a powered-off array; power_cycle() first");
 

@@ -13,6 +13,31 @@ int mod(int x, int m) {
   const int r = x % m;
   return r < 0 ? r + m : r;
 }
+
+int gcd(int a, int b) {
+  while (b != 0) {
+    const int t = a % b;
+    a = b;
+    b = t;
+  }
+  return a;
+}
+
+/// Multiplicative inverse of c mod n (extended Euclid; gcd(c, n) == 1).
+int inverse_mod(int c, int n) {
+  int t = 0;
+  int new_t = 1;
+  int r = n;
+  int new_r = mod(c, n);
+  while (new_r != 0) {
+    const int q = r / new_r;
+    t -= q * new_t;
+    std::swap(t, new_t);
+    r -= q * new_r;
+    std::swap(r, new_r);
+  }
+  return mod(t, n);
+}
 }  // namespace
 
 Pos MirrorArrangement::data_of(int mirror_disk, int mirror_row) const {
@@ -65,19 +90,27 @@ Pos TraditionalArrangement::data_of(int mirror_disk, int mirror_row) const {
   return {mirror_disk, mirror_row};
 }
 
-ShiftedArrangement::ShiftedArrangement(int n) : n_(n) { assert(n >= 1); }
+ShiftedArrangement::ShiftedArrangement(int n, int multiplier)
+    : n_(n), c_(multiplier), c_inv_(inverse_mod(multiplier, n)) {
+  assert(n >= 1);
+  assert(gcd(mod(multiplier, n), n) == 1 && "multiplier not coprime to n");
+}
+
+std::string ShiftedArrangement::name() const {
+  return c_ == 1 ? "shifted" : "shifted*" + std::to_string(c_);
+}
 
 Pos ShiftedArrangement::mirror_of(int data_disk, int data_row) const {
   assert(data_disk >= 0 && data_disk < n_ && data_row >= 0 && data_row < n_);
-  // a(i, j) -> b(<i+j>_n, i)
-  return {mod(data_disk + data_row, n_), data_disk};
+  // a(i, j) -> b(<i + c*j>_n, i)
+  return {mod(data_disk + c_ * data_row, n_), data_disk};
 }
 
 Pos ShiftedArrangement::data_of(int mirror_disk, int mirror_row) const {
   assert(mirror_disk >= 0 && mirror_disk < n_ && mirror_row >= 0 &&
          mirror_row < n_);
-  // b(i, j) = a(j, <i-j>_n)
-  return {mirror_row, mod(mirror_disk - mirror_row, n_)};
+  // b(d, w) = a(w, <c^{-1} (d - w)>_n)
+  return {mirror_row, mod(c_inv_ * (mirror_disk - mirror_row), n_)};
 }
 
 TableArrangement::TableArrangement(std::string name,
@@ -164,15 +197,6 @@ std::pair<int, int> fibonacci_mod(int k, int n) {
     fk1 = next;
   }
   return {fk, fk1};
-}
-
-int gcd(int a, int b) {
-  while (b != 0) {
-    const int t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
 }
 }  // namespace
 

@@ -69,17 +69,28 @@ class TraditionalArrangement final : public MirrorArrangement {
   int n_;
 };
 
-/// The paper's shifted arrangement: b(<i+j>_n, i) = a(i, j).
+/// The paper's shifted arrangement b(<i+j>_n, i) = a(i, j), generalized
+/// to the affine family b(<i + c*j>_n, i) = a(i, j) for a multiplier c
+/// coprime to n. Every such c keeps the paper's three properties (P1/P2
+/// need j -> i + c*j injective, P3 needs i -> i + c*j injective), and
+/// two distinct multipliers give "orthogonal" arrays: a disk of one and
+/// a disk of the other share exactly one source element per stripe.
+/// c = 1 is the paper's arrangement; the replica arrays of an R-replica
+/// mirror use R distinct multipliers (see Architecture::mirror_named).
 class ShiftedArrangement final : public MirrorArrangement {
  public:
-  explicit ShiftedArrangement(int n);
-  std::string name() const override { return "shifted"; }
+  /// Requires gcd(multiplier, n) == 1 (asserted).
+  explicit ShiftedArrangement(int n, int multiplier = 1);
+  /// "shifted" for c = 1, "shifted*c" otherwise.
+  std::string name() const override;
   int n() const override { return n_; }
   Pos mirror_of(int data_disk, int data_row) const override;
   Pos data_of(int mirror_disk, int mirror_row) const override;
 
  private:
   int n_;
+  int c_;
+  int c_inv_;  // c^{-1} mod n
 };
 
 /// Arrangement given by an explicit n x n table (mirror position per

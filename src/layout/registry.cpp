@@ -322,12 +322,6 @@ AlgorithmRegistry& AlgorithmRegistry::global() {
       };
       (void)r->add(std::move(d));
     }
-
-    // Pre-registry spellings, kept one release (ArchKind-derived names
-    // and the identity's common alias).
-    (void)r->add_alias("mirror-traditional", "traditional");
-    (void)r->add_alias("mirror-shifted", "shifted");
-    (void)r->add_alias("identity", "traditional");
     return r;
   }();
   return *registry;

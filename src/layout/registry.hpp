@@ -133,8 +133,8 @@ class RegistryArrangement final : public MirrorArrangement {
 
 class AlgorithmRegistry {
  public:
-  /// The process-wide registry, populated with the built-in layouts
-  /// (and their pre-registry alias spellings) on first use.
+  /// The process-wide registry, populated with the built-in layouts on
+  /// first use.
   static AlgorithmRegistry& global();
 
   /// Empty registry for tests and experiments.
@@ -144,8 +144,7 @@ class AlgorithmRegistry {
   /// kInvalidArgument when the descriptor is malformed (empty name, no
   /// map).
   Status add(LayoutDescriptor desc);
-  /// Alternative spelling for an existing layout ("mirror-shifted" ->
-  /// "shifted" — the pre-registry enum names, kept one release).
+  /// Alternative spelling for an existing layout.
   Status add_alias(const std::string& alias, const std::string& target);
 
   /// Descriptor by name or alias; kNotFound with the known names when

@@ -1,5 +1,6 @@
 #include "recon/analytic.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 
@@ -45,6 +46,38 @@ CaseTable enumerate_double_failure_cases(const layout::Architecture& arch) {
   table.average_read_accesses =
       static_cast<double>(total_accesses) / static_cast<double>(total_cases);
   return table;
+}
+
+std::vector<DoubleFailureClass> double_failure_classes(
+    const layout::Architecture& arch) {
+  assert(arch.is_mirror() && arch.replicas() >= 2);
+  std::map<std::string, DoubleFailureClass> buckets;
+  for (const auto& failed : enumerate_double_failures(arch)) {
+    const int ra = failed[0] / arch.n();
+    const int rb = failed[1] / arch.n();
+    const char* label = ra == 0 && rb == 0 ? "both data"
+                        : ra == 0          ? "data + replica array"
+                        : ra == rb         ? "same replica array"
+                                           : "two replica arrays";
+    auto plan = plan_reconstruction(arch, failed);
+    assert(plan.is_ok());
+    const int accesses = plan.value().read_accesses(arch);
+    DoubleFailureClass& row = buckets[label];
+    if (row.cases == 0) {
+      row.label = label;
+      row.min_accesses = row.max_accesses = accesses;
+    }
+    row.avg_accesses =
+        (row.avg_accesses * static_cast<double>(row.cases) + accesses) /
+        static_cast<double>(row.cases + 1);
+    ++row.cases;
+    row.min_accesses = std::min(row.min_accesses, accesses);
+    row.max_accesses = std::max(row.max_accesses, accesses);
+  }
+  std::vector<DoubleFailureClass> out;
+  out.reserve(buckets.size());
+  for (auto& [label, row] : buckets) out.push_back(std::move(row));
+  return out;
 }
 
 double average_single_failure_read_accesses(const layout::Architecture& arch) {

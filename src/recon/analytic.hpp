@@ -36,6 +36,19 @@ struct CaseTable {
 
 CaseTable enumerate_double_failure_cases(const layout::Architecture& arch);
 
+/// Table-I analogue for an R >= 2 replica mirror: every double failure,
+/// grouped by which arrays the two failed disks belong to, with the
+/// plan's read accesses per class. Sorted by label.
+struct DoubleFailureClass {
+  std::string label;  // "both data", "data + replica array", ...
+  long cases = 0;
+  int min_accesses = 0;
+  double avg_accesses = 0.0;
+  int max_accesses = 0;
+};
+std::vector<DoubleFailureClass> double_failure_classes(
+    const layout::Architecture& arch);
+
 /// Average read accesses over all single-disk failures.
 double average_single_failure_read_accesses(const layout::Architecture& arch);
 

@@ -43,13 +43,15 @@ struct StripeRecovery {
 };
 
 /// Recover the contents of every failed logical disk of one mirror
-/// stripe into `rec.staged[logical][row]`, falling back across
-/// redundancy paths (replica copy <-> parity-XOR) when a source element
-/// is unreadable. Elements with no surviving path are zero-filled and
-/// listed in rec.unrecoverable rather than failing the stripe.
+/// stripe into `rec.staged[logical][row]`, reading each lost element
+/// from the copy `plan` chose and falling back across redundancy paths
+/// (other copies <-> parity-XOR) only when that source is unreadable.
+/// Elements with no surviving path are zero-filled and listed in
+/// rec.unrecoverable rather than failing the stripe.
 Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
                              const std::vector<int>& failed,
-                             StripeRecovery& rec, FaultCounts& fc) {
+                             const StripePlan& plan, StripeRecovery& rec,
+                             FaultCounts& fc) {
   const auto& arch = arr.arch();
   const std::size_t eb = arr.config().content_bytes;
   const int n = arch.n();
@@ -111,6 +113,44 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
     return false;
   };
 
+  // Copy data element (i, j) into `dst` from a surviving copy: the one
+  // the plan reads, else (planned copy latent) the first other readable
+  // copy, data copy first, then replica arrays in order — counted as a
+  // mirror fallback. False when every surviving copy is latent.
+  auto copy_of = [&](int i, int j, int r) {
+    return r == 0 ? layout::Pos{arch.data_disk(i), j}
+                  : arch.replica_of(i, j, r);
+  };
+  auto copy_element = [&](int i, int j, Buffer& dst) -> bool {
+    auto try_copy = [&](int r) -> bool {
+      const layout::Pos p = copy_of(i, j, r);
+      if (contains(failed, p.disk)) return false;
+      if (arr.element_latent(p.disk, stripe, p.row)) {
+        ++fc.latent_sectors_hit;
+        return false;
+      }
+      auto src = arr.content(p.disk, stripe, p.row);
+      std::copy(src.begin(), src.end(), dst.begin());
+      rec.availability_reads.insert({p.disk, p.row});
+      return true;
+    };
+    int planned = -1;
+    for (int r = 0; r <= arch.replicas() && planned < 0; ++r) {
+      const layout::Pos p = copy_of(i, j, r);
+      if (std::binary_search(plan.availability_reads.begin(),
+                             plan.availability_reads.end(),
+                             ElementRead{p.disk, p.row}))
+        planned = r;
+    }
+    if (planned >= 0 && try_copy(planned)) return true;
+    for (int r = 0; r <= arch.replicas(); ++r) {
+      if (r == planned || !try_copy(r)) continue;
+      if (planned >= 0) ++fc.fallback_to_mirror;
+      return true;
+    }
+    return false;
+  };
+
   // Recover data element (x, j) through the parity equation (paper
   // Section V-B case 4): XOR of the rest of row j with the parity
   // element. Reads are committed only if the whole chain succeeds.
@@ -143,16 +183,9 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
     const int x = arch.role_index(xd);
     for (int j = 0; j < rows; ++j) {
       Buffer& dst = rec.staged.at(xd)[static_cast<std::size_t>(j)];
-      const layout::Pos replica = arch.replica_of(x, j);
-      if (!contains(failed, replica.disk)) {
-        if (!arr.element_latent(replica.disk, stripe, replica.row)) {
-          auto src = arr.content(replica.disk, stripe, replica.row);
-          std::copy(src.begin(), src.end(), dst.begin());
-          rec.availability_reads.insert({replica.disk, replica.row});
-          rec.staged_ok.at(xd)[static_cast<std::size_t>(j)] = 1;
-          continue;
-        }
-        ++fc.latent_sectors_hit;
+      if (copy_element(x, j, dst)) {
+        rec.staged_ok.at(xd)[static_cast<std::size_t>(j)] = 1;
+        continue;
       }
       if (recover_via_parity(x, j, dst)) {
         rec.staged_ok.at(xd)[static_cast<std::size_t>(j)] = 1;
@@ -180,14 +213,10 @@ Status recover_mirror_stripe(const array::DiskArray& arr, int stripe,
         }
         continue;
       }
-      if (!arr.element_latent(sd, stripe, src.row)) {
-        auto bytes = arr.content(sd, stripe, src.row);
-        std::copy(bytes.begin(), bytes.end(), dst.begin());
-        rec.availability_reads.insert({sd, src.row});
+      if (copy_element(src.disk, src.row, dst)) {
         rec.staged_ok.at(yd)[static_cast<std::size_t>(j)] = 1;
         continue;
       }
-      ++fc.latent_sectors_hit;
       if (recover_via_parity(src.disk, src.row, dst)) {
         rec.staged_ok.at(yd)[static_cast<std::size_t>(j)] = 1;
         ++fc.fallback_to_parity;
@@ -440,7 +469,8 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
     StripeRecovery rec;
     Status recovered =
         arch.is_mirror()
-            ? recover_mirror_stripe(arr, s, rebuild_logical, rec, fc)
+            ? recover_mirror_stripe(arr, s, rebuild_logical, plan.value(),
+                                    rec, fc)
             : recover_raid_stripe(arr, s, rebuild_logical, rec, fc);
     if (!recovered.is_ok()) return recovered;
     for (const auto& [d, r] : rec.unrecoverable) skip.insert({d, s, r});
@@ -630,7 +660,8 @@ Result<ReconReport> reconstruct(array::DiskArray& arr,
     StripeRecovery& rec = staged[static_cast<std::size_t>(s)];
     Status recovered =
         arch.is_mirror()
-            ? recover_mirror_stripe(arr, s, failed_logical, rec, fc)
+            ? recover_mirror_stripe(arr, s, failed_logical, plan.value(),
+                                    rec, fc)
             : recover_raid_stripe(arr, s, failed_logical, rec, fc);
     if (!recovered.is_ok()) return recovered;
     for (const auto& [d, r] : rec.unrecoverable) skip.insert({d, s, r});

@@ -66,9 +66,14 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
   if (!arch.is_mirror())
     return invalid_argument("online reconstruction models mirror kinds only");
   const auto initial_failed = arr.failed_physical();
-  if (initial_failed.size() > 1)
+  // R = 1 rebuilds one failure (a second one arrives only by injection);
+  // R >= 2 replica arrays rebuild up to R concurrent failures.
+  const std::size_t max_failed =
+      arch.replicas() > 1 ? static_cast<std::size_t>(arch.replicas()) : 1;
+  if (initial_failed.size() > max_failed)
     return invalid_argument(
-        "online reconstruction expects at most one failed disk, got " +
+        "online reconstruction expects at most " +
+        std::to_string(max_failed) + " failed disk(s), got " +
         std::to_string(initial_failed.size()));
   const workload::ArrivalConfig& acfg = cfg.arrival;
   const workload::MixConfig& mcfg = cfg.mix;
@@ -86,6 +91,8 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
     const Status hedge_ok = workload::validate_hedge(cfg.hedge);
     if (!hedge_ok.is_ok()) return hedge_ok;
   }
+  if (arch.replicas() > 1 && cfg.hedge.enabled)
+    return invalid_argument("hedged reads model single-replica mirrors only");
   auto proc_r = workload::make_arrival_process(acfg);
   if (!proc_r.is_ok()) return proc_r.status();
   const std::unique_ptr<workload::ArrivalProcess> proc =
@@ -93,6 +100,9 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
   const bool inject_second =
       cfg.second_failure_at_s >= 0 && cfg.second_failure_disk >= 0;
   if (inject_second) {
+    if (arch.replicas() > 1)
+      return invalid_argument(
+          "second-failure injection models single-replica mirrors only");
     if (arch.fault_tolerance() < 2)
       return invalid_argument(
           "second-failure injection needs fault tolerance 2 (mirror with "
@@ -168,11 +178,11 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
     sim.set_observer(ob);
     obs_guard.arr = &arr;
     obs_guard.metrics = metrics;
-    if (!initial_failed.empty()) {
+    for (const int p : initial_failed) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::kFailure;
       ev.t_s = 0.0;
-      ev.disk = initial_failed[0];
+      ev.disk = p;
       ob->emit(ev);
     }
     if (metrics != nullptr) {
@@ -657,9 +667,14 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
     dispatch(phys);
   };
 
+  // User read pieces served per physical disk: the load the
+  // least-user-loaded copy rule balances at R >= 2.
+  std::vector<int> user_load(ndisks, 0);
+
   // Pieces needed to serve a read of data element (i, stripe, row)
-  // under the current failure set: the data copy, else the replica,
-  // else the parity row. Empty means unreadable (beyond tolerance).
+  // under the current failure set: the data copy, else the
+  // least-user-loaded live replica, else the parity row. Empty means
+  // unreadable (beyond tolerance).
   auto read_pieces = [&](int i, int stripe, int row, bool& degraded)
       -> std::vector<std::pair<int, Job>> {
     std::vector<std::pair<int, Job>> out;
@@ -670,7 +685,9 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
       job.data_disk = i;
       job.row = row;
       job.stripe = stripe;
-      out.push_back({arr.physical_disk(logical, stripe), job});
+      const int phys = arr.physical_disk(logical, stripe);
+      ++user_load[static_cast<std::size_t>(phys)];
+      out.push_back({phys, job});
     };
     const int data_phys = arr.physical_disk(arch.data_disk(i), stripe);
     if (!arr.physical(data_phys).failed()) {
@@ -690,9 +707,20 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
       return out;
     }
     degraded = true;
-    const layout::Pos replica = arch.replica_of(i, row);
-    if (!arr.physical(arr.physical_disk(replica.disk, stripe)).failed()) {
-      piece(replica.disk, replica.row);
+    layout::Pos best{-1, 0};
+    int best_phys = -1;
+    for (int r = 1; r <= arch.replicas(); ++r) {
+      const layout::Pos replica = arch.replica_of(i, row, r);
+      const int phys = arr.physical_disk(replica.disk, stripe);
+      if (arr.physical(phys).failed()) continue;
+      if (best_phys < 0 || user_load[static_cast<std::size_t>(phys)] <
+                               user_load[static_cast<std::size_t>(best_phys)]) {
+        best = replica;
+        best_phys = phys;
+      }
+    }
+    if (best_phys >= 0) {
+      piece(best.disk, best.row);
       return out;
     }
     // Parity path: every other data element of the row + parity cell.
@@ -758,8 +786,10 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
         pieces.push_back({phys, job});
       };
       piece(arch.data_disk(data_disk), row);
-      const layout::Pos replica = arch.replica_of(data_disk, row);
-      piece(replica.disk, replica.row);
+      for (int r = 1; r <= arch.replicas(); ++r) {
+        const layout::Pos replica = arch.replica_of(data_disk, row, r);
+        piece(replica.disk, replica.row);
+      }
       if (arch.has_parity()) piece(arch.parity_disk(), row);
       requests[static_cast<std::size_t>(rid)].pieces_left =
           static_cast<int>(pieces.size());

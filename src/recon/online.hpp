@@ -8,11 +8,13 @@
 // strict user priority (the default), a fixed in-flight rebuild budget,
 // or an adaptive feedback throttle that trades rebuild completion time
 // for a foreground p99 target. A read that targets a failed disk is
-// served "degraded": redirected to the element's replica (mirror
-// kinds). The experiment contrasts the traditional arrangement — where
-// rebuild traffic saturates the single partner disk, queueing user
-// reads behind it — with the shifted arrangement, where rebuild load
-// spreads across all disks. See docs/SERVING.md for the engine design.
+// served "degraded": redirected to the least-user-loaded live replica
+// of the element (mirror kinds; R >= 2 replica arrays give a choice),
+// else recomputed from the parity row. The experiment contrasts the
+// traditional arrangement — where rebuild traffic saturates the single
+// partner disk, queueing user reads behind it — with the shifted
+// arrangement, where rebuild load spreads across all disks. See
+// docs/SERVING.md for the engine design.
 //
 // Fault injection: disks carrying a FaultProfile may return transient
 // errors (retried in place, bounded), unreadable sectors (the op is
@@ -166,10 +168,12 @@ struct OnlineReport {
 };
 
 /// Run the on-line rebuild of `arr`'s failed physical disks (mirror
-/// architectures, single failure) — or, with no failed disk, serve the
-/// workload against a healthy array (no rebuild work; rebuild_done_s
-/// stays 0 and final_state kHealthy). The healthy mode is what the
-/// fleet layer runs on every array that is not currently rebuilding.
+/// architectures; one failure at R = 1, up to R with R >= 2 replica
+/// arrays, which do not support hedging or second-failure injection)
+/// — or, with no failed disk, serve the workload against a healthy
+/// array (no rebuild work; rebuild_done_s stays 0 and final_state
+/// kHealthy). The healthy mode is what the fleet layer runs on every
+/// array that is not currently rebuilding.
 /// Timing-only: contents are not modified; pair with
 /// recon::reconstruct for the byte-level rebuild.
 Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,

@@ -27,54 +27,57 @@ Result<StripePlan> plan_mirror(const layout::Architecture& arch,
   std::set<ElementRead> availability;
   std::set<ElementRead> parity_extra;
   bool parity_failed = false;
-  std::vector<int> failed_data;    // data-disk indices (0..n-1)
-  std::vector<int> failed_mirror;  // mirror-disk indices (0..n-1)
+  for (const int disk : failed)
+    if (arch.role_of(disk) == layout::DiskRole::kParity) parity_failed = true;
+  // Reads charged per disk so far (copy selection at R >= 2).
+  std::vector<int> load(static_cast<std::size_t>(arch.total_disks()), 0);
 
+  // One read source per lost element, failed disks in the given order:
+  // a surviving copy already read (shared, free), else the least-loaded
+  // surviving copy (data copy first on ties, then replica arrays in
+  // order). At R = 1 every lost element has at most one surviving copy,
+  // so the choice is forced.
   for (const int disk : failed) {
-    switch (arch.role_of(disk)) {
-      case layout::DiskRole::kData:
-        failed_data.push_back(arch.role_index(disk));
-        break;
-      case layout::DiskRole::kMirror:
-        failed_mirror.push_back(arch.role_index(disk));
-        break;
-      case layout::DiskRole::kParity:
-        parity_failed = true;
-        break;
-    }
-  }
-
-  // Recover each failed data disk's elements.
-  for (const int x : failed_data) {
+    const layout::DiskRole role = arch.role_of(disk);
+    if (role == layout::DiskRole::kParity) continue;
     for (int j = 0; j < arch.rows(); ++j) {
-      const layout::Pos replica = arch.replica_of(x, j);
-      if (!contains(failed, replica.disk)) {
-        availability.insert({replica.disk, replica.row});
+      const layout::Pos src =
+          role == layout::DiskRole::kData
+              ? layout::Pos{arch.role_index(disk), j}
+              : arch.replicated_by(arch.role_index(disk), j);
+      ElementRead best{-1, 0};
+      for (int r = 0; r <= arch.replicas(); ++r) {
+        const layout::Pos copy = r == 0
+                                     ? layout::Pos{arch.data_disk(src.disk),
+                                                   src.row}
+                                     : arch.replica_of(src.disk, src.row, r);
+        if (contains(failed, copy.disk)) continue;
+        const ElementRead read{copy.disk, copy.row};
+        if (availability.count(read)) {
+          best = read;
+          break;
+        }
+        if (best.logical_disk < 0 ||
+            load[static_cast<std::size_t>(copy.disk)] <
+                load[static_cast<std::size_t>(best.logical_disk)])
+          best = read;
+      }
+      if (best.logical_disk >= 0) {
+        if (availability.insert(best).second)
+          ++load[static_cast<std::size_t>(best.logical_disk)];
         continue;
       }
-      // Replica lost too (F3 overlap element): recover via the parity
-      // row — read the other data elements of row j plus c_j.
+      // Every copy lost (R = 1 F3 overlap element): recover via the
+      // parity row — read the other data elements of the row plus c_row.
       if (!arch.has_parity() || parity_failed)
-        return unrecoverable(
-            "element and its replica both lost without usable parity");
+        return unrecoverable("element lost every copy without usable parity");
       for (int i = 0; i < n; ++i) {
-        if (i == x) continue;
+        if (i == src.disk) continue;
         assert(!contains(failed, arch.data_disk(i)) &&
                "double data failure cannot also lose a replica");
-        availability.insert({arch.data_disk(i), j});
+        availability.insert({arch.data_disk(i), src.row});
       }
-      availability.insert({arch.parity_disk(), j});
-    }
-  }
-
-  // Recover each failed mirror disk's elements from their data sources;
-  // sources that are themselves failed were just recovered above and
-  // need no extra reads.
-  for (const int y : failed_mirror) {
-    for (int j = 0; j < arch.rows(); ++j) {
-      const layout::Pos src = arch.replicated_by(y, j);
-      if (!contains(failed, arch.data_disk(src.disk)))
-        availability.insert({arch.data_disk(src.disk), src.row});
+      availability.insert({arch.parity_disk(), src.row});
     }
   }
 

@@ -29,10 +29,10 @@ bool is_recoverable(const layout::Architecture& arch,
       std::vector<bool>(static_cast<std::size_t>(rows), false));
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < rows; ++j) {
-      const bool data_ok = !is_failed(arch.data_disk(i));
-      const bool mirror_ok = !is_failed(arch.replica_of(i, j).disk);
-      avail[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          data_ok || mirror_ok;
+      bool ok = !is_failed(arch.data_disk(i));
+      for (int r = 1; r <= arch.replicas() && !ok; ++r)
+        ok = !is_failed(arch.replica_of(i, j, r).disk);
+      avail[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = ok;
     }
   }
   // Parity closure: a row with exactly one missing element recovers it.

@@ -33,8 +33,9 @@ Result<ScrubReport> scrub(array::DiskArray& arr) {
 
 Result<ScrubReport> scrub(array::DiskArray& arr, const ScrubOptions& opts) {
   const auto& arch = arr.arch();
-  if (!arch.is_mirror())
-    return invalid_argument("scrub supports the mirror architectures");
+  if (!arch.is_mirror() || arch.replicas() > 1)
+    return invalid_argument("scrub supports the single-replica mirror "
+                            "architectures");
   if (!arr.failed_physical().empty())
     return failed_precondition("scrub requires all disks healthy");
   if (arr.crashed())

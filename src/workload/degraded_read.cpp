@@ -19,8 +19,10 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
   if (!arch.is_mirror())
     return invalid_argument("degraded read workload models mirror kinds");
   const auto failed = arr.failed_physical();
-  if (failed.size() > 1)
-    return invalid_argument("degraded read workload expects <= 1 failure");
+  if (failed.size() > static_cast<std::size_t>(arch.replicas()))
+    return invalid_argument(
+        "degraded read workload expects at most R = " +
+        std::to_string(arch.replicas()) + " failure(s)");
   const ArrivalConfig& acfg = cfg.arrival;
   const int read_count = acfg.max_requests;
   if (read_count < 0) return invalid_argument("negative read count");
@@ -31,6 +33,9 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
   DegradedReadReport report;
   std::vector<array::Op> ops;
   ops.reserve(static_cast<std::size_t>(read_count));
+  // Reads assigned per physical disk so far; a degraded read goes to the
+  // least-loaded surviving replica (R >= 2 splits redirected load).
+  std::vector<int> per_disk(static_cast<std::size_t>(arr.total_disks()), 0);
 
   for (int k = 0; k < read_count; ++k) {
     const int data_disk =
@@ -42,12 +47,24 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
 
     int logical = arch.data_disk(data_disk);
     int target_row = row;
-    if (arr.physical(arr.physical_disk(logical, stripe)).failed()) {
-      const layout::Pos replica = arch.replica_of(data_disk, row);
-      logical = replica.disk;
-      target_row = replica.row;
+    int phys = arr.physical_disk(logical, stripe);
+    if (arr.physical(phys).failed()) {
+      phys = -1;
+      for (int r = 1; r <= arch.replicas(); ++r) {
+        const layout::Pos replica = arch.replica_of(data_disk, row, r);
+        const int p = arr.physical_disk(replica.disk, stripe);
+        if (arr.physical(p).failed()) continue;
+        if (phys < 0 || per_disk[static_cast<std::size_t>(p)] <
+                            per_disk[static_cast<std::size_t>(phys)]) {
+          phys = p;
+          logical = replica.disk;
+          target_row = replica.row;
+        }
+      }
+      if (phys < 0) return unrecoverable("element lost every copy");
       ++report.degraded_reads;
     }
+    ++per_disk[static_cast<std::size_t>(phys)];
     ops.push_back({logical, stripe, target_row, disk::IoKind::kRead});
     if (ob != nullptr) {
       // The batch model has no arrival process: all reads are pending
@@ -56,7 +73,7 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
       ev.kind = obs::EventKind::kRequestArrive;
       ev.t_s = 0.0;
       ev.request_id = k;
-      ev.disk = arr.physical_disk(logical, stripe);
+      ev.disk = phys;
       ob->emit(ev);
     }
   }
@@ -72,10 +89,6 @@ Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
   report.logical_bytes_read = stats.logical_bytes_read;
 
   // Load imbalance over surviving disks.
-  std::vector<int> per_disk(static_cast<std::size_t>(arr.total_disks()), 0);
-  for (const auto& op : ops)
-    ++per_disk[static_cast<std::size_t>(
-        arr.physical_disk(op.logical_disk, op.stripe))];
   int total_ops = 0;
   int survivors = 0;
   for (int d = 0; d < arr.total_disks(); ++d) {

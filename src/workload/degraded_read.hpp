@@ -38,7 +38,8 @@ struct DegradedReadReport {
 };
 
 /// Run `cfg.arrival.max_requests` uniform random data-element reads against
-/// `arr` (mirror architectures; at most one failed disk, or none).
+/// `arr` (mirror architectures; at most R failed disks). A read of a
+/// failed data disk goes to the least-loaded surviving replica.
 /// Timing only.
 Result<DegradedReadReport> run_degraded_reads(array::DiskArray& arr,
                                               const DegradedReadConfig& cfg);

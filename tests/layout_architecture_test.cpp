@@ -7,7 +7,8 @@ namespace {
 
 TEST(Architecture, MirrorShape) {
   const auto a = Architecture::mirror(5, /*shifted=*/true);
-  EXPECT_EQ(a.kind(), ArchKind::kMirrorShifted);
+  EXPECT_EQ(a.kind(), ArchKind::kMirror);
+  EXPECT_EQ(a.replicas(), 1);
   EXPECT_EQ(a.n(), 5);
   EXPECT_EQ(a.rows(), 5);
   EXPECT_EQ(a.total_disks(), 10);
@@ -23,7 +24,7 @@ TEST(Architecture, MirrorShape) {
 
 TEST(Architecture, MirrorTraditionalUsesIdentityArrangement) {
   const auto a = Architecture::mirror(3, /*shifted=*/false);
-  EXPECT_EQ(a.kind(), ArchKind::kMirrorTraditional);
+  EXPECT_EQ(a.kind(), ArchKind::kMirror);
   EXPECT_FALSE(a.is_shifted());
   EXPECT_EQ(a.arrangement()->name(), "traditional");
   EXPECT_EQ(a.replica_of(1, 2), (Pos{a.mirror_disk(1), 2}));
@@ -31,7 +32,7 @@ TEST(Architecture, MirrorTraditionalUsesIdentityArrangement) {
 
 TEST(Architecture, MirrorWithParityShape) {
   const auto a = Architecture::mirror_with_parity(4, true);
-  EXPECT_EQ(a.kind(), ArchKind::kMirrorParityShifted);
+  EXPECT_EQ(a.kind(), ArchKind::kMirror);
   EXPECT_EQ(a.total_disks(), 9);
   EXPECT_EQ(a.fault_tolerance(), 2);
   EXPECT_EQ(a.parity_disks(), 1);

@@ -83,24 +83,29 @@ TEST(LayoutRegistry, UnknownNameIsNotFound) {
 }
 
 TEST(LayoutRegistry, AliasesResolveToCanonicalNames) {
-  const auto& reg = AlgorithmRegistry::global();
-  for (const auto& [alias, target] :
-       {std::pair<const char*, const char*>{"mirror-traditional",
-                                            "traditional"},
-        {"mirror-shifted", "shifted"},
-        {"identity", "traditional"}}) {
-    auto canon = reg.canonical(alias);
-    ASSERT_TRUE(canon.is_ok()) << alias;
-    EXPECT_EQ(canon.value(), target);
-    auto direct = reg.find(alias);
-    ASSERT_TRUE(direct.is_ok());
-    EXPECT_EQ(direct.value()->name, target);
-  }
+  AlgorithmRegistry reg;
+  ASSERT_TRUE(reg.add(minimal_descriptor("canon")).is_ok());
+  ASSERT_TRUE(reg.add_alias("spelling", "canon").is_ok());
+  auto canon = reg.canonical("spelling");
+  ASSERT_TRUE(canon.is_ok());
+  EXPECT_EQ(canon.value(), "canon");
+  auto direct = reg.find("spelling");
+  ASSERT_TRUE(direct.is_ok());
+  EXPECT_EQ(direct.value()->name, "canon");
   // names() lists canonical names only, in registration order.
-  const auto names = reg.names();
+  ASSERT_EQ(reg.names().size(), 1u);
+  EXPECT_EQ(reg.names().front(), "canon");
+
+  // The global registry carries no aliases: the retired pre-registry
+  // spellings are unknown layouts now.
+  const auto& global = AlgorithmRegistry::global();
+  for (const char* retired : {"mirror-traditional", "mirror-shifted",
+                              "identity"})
+    EXPECT_EQ(global.find(retired).status().code(), ErrorCode::kNotFound)
+        << retired;
+  const auto names = global.names();
   ASSERT_GE(names.size(), 6u);
   EXPECT_EQ(names.front(), "traditional");
-  for (const auto& n : names) EXPECT_NE(n, "mirror-shifted");
 }
 
 TEST(LayoutRegistry, ConfigureValidation) {
@@ -263,7 +268,8 @@ TEST(LayoutRegistry, CapabilityFlagsGateTheParityWrapper) {
   if (added.is_ok()) {  // another test in this process may have added it
     auto plain = Architecture::mirror_named(4, "test-frail");
     ASSERT_TRUE(plain.is_ok());
-    EXPECT_EQ(plain.value().kind(), ArchKind::kMirrorCustom);
+    EXPECT_EQ(plain.value().kind(), ArchKind::kMirror);
+    EXPECT_EQ(plain.value().layout_spec(), "test-frail");
     auto parity = Architecture::mirror_with_parity_named(4, "test-frail");
     ASSERT_FALSE(parity.is_ok());
     EXPECT_EQ(parity.status().code(), ErrorCode::kFailedPrecondition);
@@ -271,28 +277,30 @@ TEST(LayoutRegistry, CapabilityFlagsGateTheParityWrapper) {
 }
 
 TEST(LayoutRegistry, MirrorNamedCollapsesClassicSpellings) {
-  // Param-less traditional/shifted specs (and their aliases) collapse
-  // to the classic architecture kinds so every downstream name, CSV
-  // column and drift-gated result stays bit-identical.
-  for (const char* spec : {"traditional", "mirror-traditional", "identity"}) {
-    auto arch = Architecture::mirror_named(5, spec);
-    ASSERT_TRUE(arch.is_ok()) << spec;
-    EXPECT_EQ(arch.value().kind(), ArchKind::kMirrorTraditional) << spec;
-    EXPECT_EQ(arch.value().name(), "mirror-traditional") << spec;
-  }
+  // Param-less traditional/shifted specs build the classic
+  // arrangements so every downstream name, CSV column and drift-gated
+  // result stays bit-identical.
+  auto trad = Architecture::mirror_named(5, "traditional");
+  ASSERT_TRUE(trad.is_ok());
+  EXPECT_EQ(trad.value().kind(), ArchKind::kMirror);
+  EXPECT_FALSE(trad.value().is_shifted());
+  EXPECT_EQ(trad.value().name(), "mirror-traditional");
   auto shifted = Architecture::mirror_named(5, "shifted");
   ASSERT_TRUE(shifted.is_ok());
-  EXPECT_EQ(shifted.value().kind(), ArchKind::kMirrorShifted);
+  EXPECT_TRUE(shifted.value().is_shifted());
   EXPECT_EQ(shifted.value().name(), "mirror-shifted");
 
   auto zig = Architecture::mirror_named(5, "zigzag");
   ASSERT_TRUE(zig.is_ok());
-  EXPECT_EQ(zig.value().kind(), ArchKind::kMirrorCustom);
+  EXPECT_EQ(zig.value().kind(), ArchKind::kMirror);
+  EXPECT_FALSE(zig.value().is_shifted());
+  EXPECT_EQ(zig.value().layout_spec(), "zigzag");
   EXPECT_EQ(zig.value().name(), "mirror-zigzag");
 
   auto parity = Architecture::mirror_with_parity_named(6, "lrc");
   ASSERT_TRUE(parity.is_ok());
-  EXPECT_EQ(parity.value().kind(), ArchKind::kMirrorParityCustom);
+  EXPECT_EQ(parity.value().kind(), ArchKind::kMirror);
+  EXPECT_TRUE(parity.value().has_parity());
   EXPECT_EQ(parity.value().name(), "mirror-parity-lrc(groups=2)");
   EXPECT_EQ(parity.value().fault_tolerance(), 2);
 }

@@ -13,8 +13,7 @@
 //   --arrangement=<spec>   layout registry spec: "shifted",
 //                          "traditional", "iterated:3", "lrc:groups=2",
 //                          "pyramid:groups=2", "zigzag", ... — see
-//                          `smactl layouts`. Deprecated aliases, kept
-//                          one release: --kind=<spec>, --traditional.
+//                          `smactl layouts`.
 //   --seed=<s>             RNG seed (per-command default)
 //   --stacks=<k>           stripes = stacks * total disks
 //   --jsonl=<f> --chrome=<f> --timeline-csv=<f> --interval=<s>
@@ -68,8 +67,8 @@
 #include "obs/trace_sink.hpp"
 #include "layout/properties.hpp"
 #include "layout/registry.hpp"
-#include "multimirror/multi_array.hpp"
 #include "recon/analytic.hpp"
+#include "recon/executor.hpp"
 #include "ec/evenodd.hpp"
 #include "ec/rdp.hpp"
 #include "ec/update_penalty.hpp"
@@ -118,7 +117,8 @@ int usage_stream(std::FILE* out, const char* error) {
                "  write         run the Fig. 10 write workload\n"
                "  table1        regenerate Table I\n"
                "  fig7          regenerate Fig. 7 ratios\n"
-               "  three-mirror  rebuild in the R=2 multi-mirror extension\n"
+               "  three-mirror  rebuild an R-replica mirror (--replicas=<R>,\n"
+               "                default 2: the three-mirror method)\n"
                "  degraded      user reads against a degraded array\n"
                "  faults        rebuild under injected disk faults\n"
                "                (--latent=<rate> --transient=<p> --slow=<x>\n"
@@ -155,8 +155,7 @@ int usage_stream(std::FILE* out, const char* error) {
                "                (--hedge --soak=<N> --threads=<k>\n"
                "                 --sabotage=none|skip-resync|leak-corruption)\n"
                "common flags: --n=<disks> --parity --arrangement=<spec>\n"
-               "              (see 'smactl layouts'; --kind=<spec> and\n"
-               "              --traditional are deprecated aliases)\n"
+               "              (see 'smactl layouts')\n"
                "              --seed=<s> --stacks=<k>\n"
                "observer flags (online/qos/trace): --jsonl=<f> --chrome=<f>\n"
                "              --timeline-csv=<f> --interval=<s>\n"
@@ -191,15 +190,7 @@ CommonOptions common_from(const Flags& flags, const CommonDefaults& d = {}) {
   CommonOptions c;
   c.n = flags.get_int("n", d.n);
   c.parity = flags.get_bool("parity", false);
-  if (flags.has("arrangement")) {
-    c.arrangement = flags.get("arrangement", "shifted");
-  } else if (flags.has("kind")) {
-    // Deprecated alias spelling, kept one release.
-    c.arrangement = flags.get("kind", "shifted");
-  } else if (flags.get_bool("traditional", false)) {
-    // Deprecated boolean spelling, kept one release.
-    c.arrangement = "traditional";
-  }
+  c.arrangement = flags.get("arrangement", "shifted");
   c.seed = static_cast<std::uint64_t>(flags.get_int("seed", d.seed));
   c.stacks = flags.get_int("stacks", d.stacks);
   return c;
@@ -304,8 +295,7 @@ int cmd_layout(const Flags& flags) {
   std::string spec = c.arrangement;
   // --iterations=K without an explicit layout spelling means the
   // iterated family (the historical spelling of --arrangement=iterated:K).
-  if (flags.has("iterations") && !flags.has("arrangement") &&
-      !flags.has("kind"))
+  if (flags.has("iterations") && !flags.has("arrangement"))
     spec = "iterated:" + std::to_string(flags.get_int("iterations", 1));
   auto made = layout::make_arrangement(spec, c.n);
   if (!made.is_ok()) return usage(made.status().to_string().c_str());
@@ -796,19 +786,20 @@ int cmd_fig7(const Flags& flags) {
 int cmd_three_mirror(const Flags& flags) {
   const CommonOptions c =
       common_from(flags, {/*n=*/5, /*seed=*/1, /*stacks=*/1});
-  mm::MultiArrayConfig cfg;
-  cfg.layout.n = c.n;
-  cfg.layout.replica_arrays = flags.get_int("replicas", 2);
-  cfg.layout.shifted = c.arrangement != "traditional";
-  cfg.layout.arrangement = c.arrangement;
-  cfg.content_bytes = 128;
-  auto arrr = mm::MultiMirrorArray::create(cfg);
-  if (!arrr.is_ok()) {
+  auto arch = layout::Architecture::mirror_named(
+      c.n, c.arrangement, flags.get_int("replicas", 2));
+  if (!arch.is_ok()) {
     std::fprintf(stderr, "three-mirror: %s\n",
-                 arrr.status().to_string().c_str());
+                 arch.status().to_string().c_str());
     return 1;
   }
-  auto& arr = arrr.value();
+  array::ArrayConfig cfg;
+  cfg.arch = std::move(arch).take();
+  cfg.stripes = cfg.arch.total_disks();
+  cfg.content_bytes = 128;
+  cfg.logical_element_bytes = 4ull * 1000 * 1000;
+  cfg.seed = 3;
+  array::DiskArray arr(cfg);
   arr.initialize();
   const auto failed = flags.get_int_list("fail");
   if (failed.empty()) return usage("three-mirror needs --fail=<disk,[disk]>");
@@ -816,15 +807,23 @@ int cmd_three_mirror(const Flags& flags) {
     if (d < 0 || d >= arr.total_disks()) return usage("--fail out of range");
     arr.fail_physical(d);
   }
-  auto report = arr.reconstruct();
+  auto report = recon::reconstruct(arr);
   if (!report.is_ok()) {
     std::fprintf(stderr, "three-mirror: %s\n",
                  report.status().to_string().c_str());
     return 1;
   }
+  const Status verified = arr.verify_all();
+  if (!verified.is_ok()) {
+    std::fprintf(stderr, "three-mirror: %s\n", verified.to_string().c_str());
+    return 1;
+  }
+  const std::string label = cfg.arch.arrangement()->name() + "-" +
+                            std::to_string(cfg.arch.replicas() + 1) +
+                            "-mirror(n=" + std::to_string(c.n) + ")";
   std::printf("%s: rebuilt %.0f MB at %.1f MB/s, %d access(es)/stripe; "
               "verification OK\n",
-              arr.layout().name().c_str(),
+              label.c_str(),
               report.value().logical_bytes_recovered / 1e6,
               report.value().read_throughput_mbps(),
               report.value().read_accesses_per_stripe);
@@ -1232,16 +1231,14 @@ int cmd_fleet(const Flags& flags) {
   cfg.stacks = c.stacks;
   // Layout resolution, newest spelling first: --layout=<spec[,spec]>
   // (registry specs cycled across arrays), --arrangement=<spec> (one
-  // registry spec fleet-wide), then the deprecated enum spellings
-  // --mix=shifted|traditional|alternating / --traditional.
+  // registry spec fleet-wide), then the deprecated enum spelling
+  // --mix=shifted|traditional|alternating.
   if (flags.has("layout")) {
     cfg.layout = flags.get("layout", "");
   } else if (flags.has("arrangement")) {
     cfg.layout = c.arrangement;
   } else {
-    const std::string mix =
-        flags.get("mix", flags.get_bool("traditional", false) ? "traditional"
-                                                              : "shifted");
+    const std::string mix = flags.get("mix", "shifted");
     auto arrangement = fleet::arrangement_mix_from(mix);
     if (!arrangement.is_ok())
       return usage("--mix must be shifted|traditional|alternating");
@@ -1433,6 +1430,9 @@ int main(int argc, char** argv) {
   }
   if (flags.positional().empty()) return usage();
   const std::string& cmd = flags.positional()[0];
+  // Retired spellings: ignoring them would run the shifted default.
+  if (flags.has("traditional") || flags.has("kind"))
+    return usage("--traditional/--kind were removed; use --arrangement=<spec>");
 
   int rc;
   if (cmd == "layouts") rc = cmd_layouts(flags);
