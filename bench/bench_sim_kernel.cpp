@@ -1,22 +1,18 @@
-// Simulation-kernel throughput: calendar queue + arena Tasks vs the
-// seed std::priority_queue + std::function kernel (the "legacy"
-// backend), plus deterministic parallel scaling via sim::MultiKernel.
+// Simulation-kernel throughput (calendar queue + arena Tasks) and
+// deterministic parallel scaling via sim::MultiKernel.
 //
 // Three workloads:
 //  * fleet   — an online-reconstruction-shaped event mix at kernel
 //    scale: thousands of disk-service chains in one Simulation, with
 //    Poisson-ish handoffs and same-instant ties. Per-event work is a
 //    digest update, so the measurement isolates scheduler + event
-//    storage cost. This is the events/sec number the speed overhaul is
-//    judged by.
-//  * e2e     — the real recon::run_online_reconstruction acceptance
-//    workload: a rebuild-heavy online reconstruction timed under the
-//    seed kernel (legacy backend, one event per disk op — what the
-//    seed binary executed) and under the new kernel (calendar queue +
-//    event-batched rebuild drains), whole-program cost included. Both
-//    variants compute bit-identical reports; events/sec normalizes
-//    both walls by the *seed* kernel's event count, so the ratio is
-//    exactly the end-to-end speedup.
+//    storage cost: the kernel's events/sec.
+//  * e2e     — the real recon::run_online_reconstruction workload: a
+//    rebuild-heavy online reconstruction timed with one kernel event
+//    per disk op ("calendar") and with event-batched rebuild drains
+//    ("batched"), whole-program cost included. Both variants compute
+//    bit-identical reports; events/sec normalizes both walls by the
+//    per-op event count, so the ratio is exactly the batching speedup.
 //  * scaling — sim::MultiKernel over independent online-recon cases at
 //    1/2/4/8 threads, with the parallel reports checked bit-identical
 //    to the serial ones.
@@ -68,22 +64,6 @@ double now_wall() {
       .count();
 }
 
-const char* backend_name(sim::QueueBackend b) {
-  switch (b) {
-    case sim::QueueBackend::kCalendar:
-      return "calendar";
-    case sim::QueueBackend::kHeap:
-      return "heap";
-    case sim::QueueBackend::kLegacy:
-      return "legacy";
-  }
-  return "?";
-}
-
-constexpr sim::QueueBackend kBackends[] = {sim::QueueBackend::kCalendar,
-                                           sim::QueueBackend::kHeap,
-                                           sim::QueueBackend::kLegacy};
-
 // --- fleet workload ---------------------------------------------------
 
 struct FleetResult {
@@ -94,8 +74,7 @@ struct FleetResult {
 };
 
 /// The by-value state a real completion closure carries (a Job struct
-/// plus surrounding context, ~80 bytes): big enough that std::function
-/// heap-allocates it per event while sim::Task stores it inline.
+/// plus surrounding context, ~80 bytes), which sim::Task stores inline.
 struct Payload {
   std::uint64_t v[8];
 };
@@ -105,9 +84,8 @@ struct Payload {
 /// after a service delay — or at the same instant (the tie-heavy
 /// pattern the online simulators produce when a completion and a
 /// dispatch coincide).
-FleetResult run_fleet(sim::QueueBackend backend, int disks,
-                      std::uint64_t total_events) {
-  sim::Simulation sim(backend);
+FleetResult run_fleet(int disks, std::uint64_t total_events) {
+  sim::Simulation sim;
   Rng rng(2012);
   FleetResult r;
   std::uint64_t remaining = total_events;
@@ -142,28 +120,25 @@ FleetResult run_fleet(sim::QueueBackend backend, int disks,
 
 // --- end-to-end online reconstruction ---------------------------------
 
-// The acceptance scenario: a wide array (mirror(5, shifted), 2048
-// stacks -> 20480 stripes, ~102k rebuild reads) serving a short burst
-// of user requests while the rebuild drains. Arrivals end ~20 s into a
-// ~1700 s simulated rebuild, so the long tail is pure rebuild — the
-// regime the seed kernel paid one heap event per element for and the
-// new kernel drains in batched runs.
+// The scenario: a wide array (mirror(5, shifted), 2048 stacks -> 20480
+// stripes, ~102k rebuild reads) serving a short burst of user requests
+// while the rebuild drains. Arrivals end ~20 s into a ~1700 s simulated
+// rebuild, so the long tail is pure rebuild — the regime a per-op
+// kernel pays one event per element for and batched drains run in
+// batched submissions.
 constexpr int kE2eStacks = 2048;
 constexpr int kE2eDisks = 10;  // mirror(5): n data + n replica disks
 
 struct E2eVariant {
   const char* name;
-  sim::QueueBackend backend;
   bool batch_drains;
 };
 
-/// "seed" replicates the seed binary's kernel cost: the std::function
-/// binary heap plus one completion event per disk op. "calendar"
-/// isolates the queue swap; "batched" is the shipping configuration.
+/// "calendar" schedules one completion event per disk op; "batched" is
+/// the shipping configuration.
 constexpr E2eVariant kE2eVariants[] = {
-    {"seed", sim::QueueBackend::kLegacy, false},
-    {"calendar", sim::QueueBackend::kCalendar, false},
-    {"batched", sim::QueueBackend::kCalendar, true},
+    {"calendar", false},
+    {"batched", true},
 };
 
 struct E2eResult {
@@ -174,7 +149,6 @@ struct E2eResult {
 };
 
 E2eResult run_e2e(const E2eVariant& variant) {
-  sim::set_default_queue_backend(variant.backend);
   E2eResult r;
   const auto arch = layout::Architecture::mirror(5, true);
   // Timing-only run; contents are never read, so skip initialize().
@@ -206,11 +180,11 @@ E2eResult run_e2e(const E2eVariant& variant) {
   return r;
 }
 
-/// Kernel events the *seed* executor processes for this scenario: one
+/// Kernel events the per-op executor processes for this scenario: one
 /// completion per disk op, one arrival event per issued request (plus
 /// the cutoff firing), and one kickoff per live disk. Both variants'
 /// events/sec use this count, so their ratio equals the wall ratio.
-std::uint64_t seed_events(const E2eResult& r, int ndisks) {
+std::uint64_t per_op_events(const E2eResult& r, int ndisks) {
   return r.ops + r.report.requests_issued + 1 +
          static_cast<std::uint64_t>(ndisks - 1);
 }
@@ -284,40 +258,27 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kFleetEvents = 1500000;
 
   // Best-of-N wall times; the deterministic fields are identical
-  // across repetitions (asserted below via the digest). The fleet and
-  // e2e loops stay separate so the fleet's multi-megabyte event
-  // population doesn't sit between two e2e variants being compared.
-  FleetResult fleet[3];
-  for (int b = 0; b < 3; ++b) {
-    for (int rep = 0; rep < 3; ++rep) {
-      FleetResult f = run_fleet(kBackends[b], kFleetDisks, kFleetEvents);
-      if (rep == 0 || f.wall_s < fleet[b].wall_s) fleet[b] = f;
-    }
+  // across repetitions. The fleet and e2e loops stay separate so the
+  // fleet's multi-megabyte event population doesn't sit between the
+  // two e2e variants being compared.
+  FleetResult fleet;
+  for (int rep = 0; rep < 3; ++rep) {
+    FleetResult f = run_fleet(kFleetDisks, kFleetEvents);
+    if (rep == 0 || f.wall_s < fleet.wall_s) fleet = f;
   }
-  E2eResult e2e[3];
+  E2eResult e2e[2];
   for (int rep = 0; rep < 5; ++rep) {
-    for (int b = 0; b < 3; ++b) {
+    for (int b = 0; b < 2; ++b) {
       E2eResult e = run_e2e(kE2eVariants[b]);
       if (rep == 0 || e.wall_s < e2e[b].wall_s) e2e[b] = e;
     }
   }
-  sim::set_default_queue_backend(sim::QueueBackend::kCalendar);
 
-  // All variants must agree exactly — the speedup is only meaningful
-  // if the kernels compute the same simulation.
-  for (int b = 1; b < 3; ++b) {
-    if (fleet[b].digest != fleet[0].digest ||
-        fleet[b].events != fleet[0].events ||
-        fleet[b].sim_end_s != fleet[0].sim_end_s) {
-      std::fprintf(stderr, "backend %s diverged from calendar\n",
-                   backend_name(kBackends[b]));
-      return 1;
-    }
-    if (e2e[b].digest != e2e[0].digest) {
-      std::fprintf(stderr, "e2e variant %s diverged from %s\n",
-                   kE2eVariants[b].name, kE2eVariants[0].name);
-      return 1;
-    }
+  // Batching must not change the simulation, only its cost.
+  if (e2e[1].digest != e2e[0].digest) {
+    std::fprintf(stderr, "e2e variant %s diverged from %s\n",
+                 kE2eVariants[1].name, kE2eVariants[0].name);
+    return 1;
   }
 
   const std::size_t thread_counts[] = {1, 2, 4, 8};
@@ -332,15 +293,12 @@ int main(int argc, char** argv) {
   }
 
   // Deterministic table -> sma_sim_kernel.csv (drift-gated).
-  Table table("Simulation kernel — deterministic cross-backend digests");
+  Table table("Simulation kernel — deterministic digests");
   table.set_header({"workload", "variant", "events", "sim time (s)",
                     "digest"});
-  for (int b = 0; b < 3; ++b)
-    table.add_row({"fleet", backend_name(kBackends[b]),
-                   Table::num(fleet[b].events),
-                   Table::num(fleet[b].sim_end_s, 6),
-                   hex(fleet[b].digest)});
-  for (int b = 0; b < 3; ++b)
+  table.add_row({"fleet", "calendar", Table::num(fleet.events),
+                 Table::num(fleet.sim_end_s, 6), hex(fleet.digest)});
+  for (int b = 0; b < 2; ++b)
     table.add_row({"online_recon_e2e", kE2eVariants[b].name,
                    Table::num(e2e[b].ops),
                    Table::num(e2e[b].report.rebuild_done_s, 6),
@@ -351,37 +309,31 @@ int main(int argc, char** argv) {
                    Table::num(static_cast<std::uint64_t>(12)), "-",
                    hex(scaling[t].digest)});
 
+  const std::uint64_t ev = per_op_events(e2e[0], kE2eDisks);
   if (json) {
     table.write_csv("sma_sim_kernel.csv");
-    std::printf("{\n  \"fleet\": {\n    \"disks\": %d,\n    \"events\": %llu",
-                kFleetDisks,
-                static_cast<unsigned long long>(fleet[0].events));
-    for (int b = 0; b < 3; ++b)
-      std::printf(",\n    \"%s\": {\"wall_s\": %.6f, \"events_per_s\": %.0f, "
-                  "\"sim_hours_per_s\": %.2f}",
-                  backend_name(kBackends[b]), fleet[b].wall_s,
-                  static_cast<double>(fleet[b].events) / fleet[b].wall_s,
-                  fleet[b].sim_end_s / 3600.0 / fleet[b].wall_s);
-    std::printf(",\n    \"speedup_vs_legacy\": %.2f,\n"
-                "    \"speedup_vs_heap\": %.2f\n  }",
-                fleet[2].wall_s / fleet[0].wall_s,
-                fleet[1].wall_s / fleet[0].wall_s);
-    const std::uint64_t ev = seed_events(e2e[0], kE2eDisks);
+    std::printf("{\n  \"fleet\": {\n    \"disks\": %d,\n    \"events\": %llu,"
+                "\n    \"calendar\": {\"wall_s\": %.6f, "
+                "\"events_per_s\": %.0f, \"sim_hours_per_s\": %.2f}\n  }",
+                kFleetDisks, static_cast<unsigned long long>(fleet.events),
+                fleet.wall_s,
+                static_cast<double>(fleet.events) / fleet.wall_s,
+                fleet.sim_end_s / 3600.0 / fleet.wall_s);
     std::printf(",\n  \"online_recon_e2e\": {\n"
                 "    \"stacks\": %d,\n    \"disk_ops\": %llu,\n"
-                "    \"seed_kernel_events\": %llu,\n"
+                "    \"per_op_events\": %llu,\n"
                 "    \"rebuild_done_s\": %.6f",
                 kE2eStacks, static_cast<unsigned long long>(e2e[0].ops),
                 static_cast<unsigned long long>(ev),
                 e2e[0].report.rebuild_done_s);
-    for (int b = 0; b < 3; ++b)
+    for (int b = 0; b < 2; ++b)
       std::printf(",\n    \"%s\": {\"wall_s\": %.6f, \"events_per_s\": %.0f, "
                   "\"sim_hours_per_s\": %.2f}",
                   kE2eVariants[b].name, e2e[b].wall_s,
                   static_cast<double>(ev) / e2e[b].wall_s,
                   e2e[b].report.rebuild_done_s / 3600.0 / e2e[b].wall_s);
-    std::printf(",\n    \"speedup_new_vs_seed\": %.2f\n  }",
-                e2e[0].wall_s / e2e[2].wall_s);
+    std::printf(",\n    \"speedup_batched_vs_calendar\": %.2f\n  }",
+                e2e[0].wall_s / e2e[1].wall_s);
     std::printf(",\n  \"multi_kernel\": {\n    \"cases\": 12,\n"
                 "    \"bit_identical\": true,\n"
                 "    \"hardware_concurrency\": %u",
@@ -397,23 +349,19 @@ int main(int argc, char** argv) {
 
   bench::emit(table, "sma_sim_kernel.csv");
 
-  Table timing("Simulation kernel — throughput (wall clock, best of 3)");
-  // "speedup" is vs the legacy backend for the fleet rows, vs the seed
-  // variant for the e2e rows, and vs one thread for multi_kernel rows.
+  Table timing("Simulation kernel — throughput (wall clock, best of N)");
+  // "speedup" is vs the calendar (per-op) variant for the e2e rows and
+  // vs one thread for the multi_kernel rows.
   timing.set_header({"workload", "variant", "wall (s)", "events/s",
                      "sim hours/s", "speedup"});
-  for (int b = 0; b < 3; ++b)
-    timing.add_row(
-        {"fleet", backend_name(kBackends[b]), Table::num(fleet[b].wall_s, 4),
-         Table::num(static_cast<double>(fleet[b].events) / fleet[b].wall_s, 0),
-         Table::num(fleet[b].sim_end_s / 3600.0 / fleet[b].wall_s, 2),
-         Table::num(fleet[2].wall_s / fleet[b].wall_s, 2)});
-  for (int b = 0; b < 3; ++b)
+  timing.add_row(
+      {"fleet", "calendar", Table::num(fleet.wall_s, 4),
+       Table::num(static_cast<double>(fleet.events) / fleet.wall_s, 0),
+       Table::num(fleet.sim_end_s / 3600.0 / fleet.wall_s, 2), "-"});
+  for (int b = 0; b < 2; ++b)
     timing.add_row(
         {"online_recon_e2e", kE2eVariants[b].name, Table::num(e2e[b].wall_s, 4),
-         Table::num(static_cast<double>(seed_events(e2e[0], kE2eDisks)) /
-                        e2e[b].wall_s,
-                    0),
+         Table::num(static_cast<double>(ev) / e2e[b].wall_s, 0),
          Table::num(e2e[b].report.rebuild_done_s / 3600.0 / e2e[b].wall_s, 2),
          Table::num(e2e[0].wall_s / e2e[b].wall_s, 2)});
   for (int t = 0; t < 4; ++t)

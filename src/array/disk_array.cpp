@@ -373,12 +373,6 @@ Status DiskArray::verify_logical_disk(int logical) const {
 
 void DiskArray::fail_physical(int d) { physical(d).fail(); }
 
-bool DiskArray::faults_active() const {
-  for (const auto& d : disks_)
-    if (!d.fault_profile().inert()) return true;
-  return false;
-}
-
 bool DiskArray::element_unreadable(int logical, int stripe, int row) const {
   const auto& d = physical(physical_disk(logical, stripe));
   return d.failed() || d.slot_unreadable(slot(stripe, row));
@@ -600,8 +594,10 @@ BatchStats DiskArray::execute(std::span<const Op> ops, double start_time) {
       }
       // Errored attempts still occupied the disk for their service time.
       stats.end_s = std::max(stats.end_s, d.busy_until());
-      const bool transient =
-          res.status().code() == ErrorCode::kIoError && !d.failed();
+      // Only an unrestored slot of a failed disk errs permanently; a
+      // replacement disk's restored slots retry like any live slot.
+      const bool transient = res.status().code() == ErrorCode::kIoError &&
+                             !(d.failed() && !d.slot_restored(sl));
       if (transient && attempts < cfg_.io_max_retries) {
         ++attempts;
         ++stats.retried_ops;
@@ -710,8 +706,8 @@ BatchStats DiskArray::execute_batched(std::span<const Op> ops,
           break;
         }
         stats.end_s = std::max(stats.end_s, d.busy_until());
-        const bool transient =
-            res.status().code() == ErrorCode::kIoError && !d.failed();
+        const bool transient = res.status().code() == ErrorCode::kIoError &&
+                               !(d.failed() && !d.slot_restored(sl));
         if (transient && attempts < cfg_.io_max_retries) {
           ++attempts;
           ++stats.retried_ops;

@@ -180,10 +180,6 @@ class DiskArray {
   std::vector<int> failed_physical() const;
 
   // --- fault layer ---------------------------------------------------------
-  /// True when any disk carries a non-inert fault profile; consumers
-  /// switch to the error-aware paths only then, keeping the fault-free
-  /// timing model bit-identical.
-  bool faults_active() const;
   /// Element (logical, stripe, row) cannot be read: its physical disk
   /// failed or the slot carries a latent unreadable sector.
   bool element_unreadable(int logical, int stripe, int row) const;

@@ -300,13 +300,24 @@ Status recover_raid_stripe(const array::DiskArray& arr, int stripe,
     return Status::ok();
   }
 
+  // Charge reads as plan_raid does: with data lost every read column is
+  // an availability read; with only parity lost the data columns are
+  // parity-rebuild reads and the surviving parity columns go uncharged.
+  const auto& arch = arr.arch();
+  bool data_lost = false;
+  for (const int col : failed)
+    if (arch.role_of(col) == layout::DiskRole::kData) data_lost = true;
   for (int col = 0; col < cs.columns(); ++col) {
     if (contains(erased, col)) continue;
+    const bool is_data = arch.role_of(col) == layout::DiskRole::kData;
     for (int j = 0; j < cs.rows(); ++j) {
       auto src = arr.content(col, stripe, j);
       auto dst = cs.element(col, j);
       std::copy(src.begin(), src.end(), dst.begin());
-      rec.availability_reads.insert({col, j});
+      if (data_lost)
+        rec.availability_reads.insert({col, j});
+      else if (is_data)
+        rec.parity_rebuild_reads.insert({col, j});
     }
   }
   SMA_RETURN_IF_ERROR(codec->decode(cs, erased));
@@ -323,15 +334,6 @@ Status recover_raid_stripe(const array::DiskArray& arr, int stripe,
   return Status::ok();
 }
 
-}  // namespace
-
-double ReconReport::read_throughput_mbps() const {
-  return throughput_mbps(static_cast<double>(logical_bytes_read),
-                         read_makespan_s);
-}
-
-namespace {
-
 /// Detach the observer from the array on every exit path.
 struct ObsGuard {
   array::DiskArray* arr = nullptr;
@@ -344,14 +346,19 @@ bool in_sorted(const std::vector<int>& v, int x) {
   return std::binary_search(v.begin(), v.end(), x);
 }
 
-/// The orchestrated rebuild path: checkpoint resume, stripe budgets and
-/// spare-placement redirection. Processes stripes strictly in index
-/// order (the checkpoint watermark depends on it), per-stripe pipelined
-/// timing. Taken only when one of those features is requested, so the
-/// default path's timing stays bit-identical.
-Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
-                                             const ReconOptions& opts) {
-  ReconReport report;
+}  // namespace
+
+double ReconReport::read_throughput_mbps() const {
+  return throughput_mbps(static_cast<double>(logical_bytes_read),
+                         read_makespan_s);
+}
+
+Result<ReconReport> reconstruct(array::DiskArray& arr,
+                                const ReconOptions& opts) {
+  if (arr.crashed())
+    return failed_precondition(
+        "reconstruct on a crashed (powered-off) array: power_cycle() and "
+        "resync before rebuilding");
   repair::RebuildCheckpoint* const ck = opts.checkpoint;
   if (opts.max_stripes >= 0 && ck == nullptr)
     return invalid_argument(
@@ -360,6 +367,7 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   if (opts.max_stripes == 0)
     return invalid_argument("ReconOptions::max_stripes must be positive "
                             "(or -1 for unbounded)");
+  ReconReport report;
   const auto failed_physical = arr.failed_physical();  // sorted ascending
   if (failed_physical.empty()) {
     if (ck != nullptr) ck->reset();
@@ -383,28 +391,36 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   const repair::SparePlacement placement =
       opts.spare_placement != nullptr ? *opts.spare_placement
                                       : repair::SparePlacement{};
+  // Timing runs per stripe when pipelined, and whenever orchestration is
+  // on: the checkpoint watermark needs each stripe's completion.
+  // Otherwise one barrier times every read, then every write.
+  const bool per_stripe = opts.pipelined || ck != nullptr ||
+                          opts.max_stripes >= 0 || placement.active();
 
   obs::Observer* const ob = opts.observer.get();
   ObsGuard obs_guard;
   if (ob != nullptr) {
     arr.set_observer(ob);
     obs_guard.arr = &arr;
-    for (const int p : failed_physical) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kFailure;
-      ev.t_s = 0.0;
-      ev.disk = p;
-      ob->emit(ev);
-    }
   }
+  // Disk-scoped events (failure, heal) name a disk; rebuild batch
+  // events name their stripe (-1 for the barrier's single batch).
+  auto emit = [ob](obs::EventKind kind, double t, int disk, int stripe) {
+    if (ob == nullptr) return;
+    obs::TraceEvent ev;
+    ev.kind = kind;
+    ev.t_s = t;
+    ev.disk = disk;
+    ev.stripe = stripe;
+    ev.rebuild = disk < 0;
+    ob->emit(ev);
+  };
+  for (const int p : failed_physical)
+    emit(obs::EventKind::kFailure, 0.0, p, -1);
 
   const auto& arch = arr.arch();
   const int rows = arch.rows();
   arr.reset_timelines();
-  auto absorb = [&report](const array::BatchStats& stats) {
-    report.retried_ops += stats.retried_ops;
-    report.hard_errors += stats.failed_ops;
-  };
 
   // Dirty-stripe detection must also see dead *hot spares* — they hold
   // rebuilt copies but never appear in failed_physical() (they carry no
@@ -428,8 +444,36 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
     return true;
   };
 
+  // The pending timing batch: one stripe's I/O, or every stripe's under
+  // the barrier. Reads start at t = 0; the batch's replacement writes
+  // start when its reads complete. False when power was lost mid-batch:
+  // its writes may be torn, so they are not counted as restored.
+  std::vector<array::Op> reads;
+  std::vector<array::Op> writes;
+  int batch_stripes = 0;
+  auto time_batch = [&](int stripe) {
+    emit(obs::EventKind::kRebuildIssue, 0.0, -1, stripe);
+    const auto rstats = arr.execute(reads, 0.0);
+    if (per_stripe) report.stripe_read_done_s.push_back(rstats.end_s);
+    emit(obs::EventKind::kRebuildComplete, rstats.end_s, -1, stripe);
+    report.read_makespan_s = std::max(report.read_makespan_s, rstats.end_s);
+    report.logical_bytes_read += rstats.logical_bytes_read;
+    const auto wstats = arr.execute(writes, rstats.end_s);
+    report.total_makespan_s = std::max(report.total_makespan_s, wstats.end_s);
+    report.logical_bytes_recovered += wstats.logical_bytes_written;
+    report.retried_ops += rstats.retried_ops + wstats.retried_ops;
+    report.hard_errors += rstats.failed_ops + wstats.failed_ops;
+    report.elements_read += reads.size();
+    if (arr.crashed()) return false;
+    report.elements_written += writes.size();
+    report.stripes_processed += batch_stripes;
+    reads.clear();
+    writes.clear();
+    batch_stripes = 0;
+    return true;
+  };
+
   FaultCounts fc;
-  int processed = 0;
   int next_stripe = arr.stripes();
   bool interrupted = false;
   for (int s = 0; s < arr.stripes(); ++s) {
@@ -446,7 +490,7 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
     } else {
       rebuild_phys = failed_physical;
     }
-    if (opts.max_stripes >= 0 && processed >= opts.max_stripes) {
+    if (opts.max_stripes >= 0 && report.stripes_processed >= opts.max_stripes) {
       interrupted = true;
       next_stripe = s;
       break;
@@ -475,19 +519,15 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
     if (!recovered.is_ok()) return recovered;
     for (const auto& [d, r] : rec.unrecoverable) skip.insert({d, s, r});
 
-    // Timing reads: exactly what recovery consumed; a read whose
-    // physical source is a still-failed prior disk goes to the disk
-    // that holds the rebuilt copy's timed I/O (the checkpointed spare
-    // target), or to the restored slots in place when rebuilt in place.
-    std::vector<array::Op> reads;
+    // Timing reads: exactly what recovery consumed, fallback detours
+    // included. A read whose physical source is a still-failed prior
+    // disk goes to the checkpointed spare target holding the rebuilt
+    // copy, or to the restored slots in place when rebuilt in place.
     auto push_read = [&](int d, int r) {
       array::Op op{d, s, r, disk::IoKind::kRead};
       const int phys = arr.physical_disk(d, s);
-      if (in_sorted(failed_physical, phys)) {
-        const int target =
-            ck != nullptr ? ck->placement.target_for(phys, s) : -1;
-        if (target >= 0) op.redirect_phys = target;
-      }
+      if (ck != nullptr && in_sorted(failed_physical, phys))
+        op.redirect_phys = ck->placement.target_for(phys, s);
       reads.push_back(op);
     };
     for (const auto& [d, r] : rec.availability_reads) push_read(d, r);
@@ -495,66 +535,33 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
       for (const auto& [d, r] : rec.parity_rebuild_reads)
         if (rec.availability_reads.count({d, r}) == 0) push_read(d, r);
 
-    // Restore contents (before timing: replacement writes on a failed
-    // disk serve only once the slot is restored), then time the writes,
-    // redirected to this round's spare targets.
-    std::vector<array::Op> writes;
+    // Restore contents before timing (a failed disk's replacement
+    // serves only restored slots), redirecting the timed writes to this
+    // round's spare targets.
     for (auto& [logical, buffers] : rec.staged) {
-      const int phys = arr.physical_disk(logical, s);
-      const int target = placement.target_for(phys, s);
+      const int target = placement.target_for(arr.physical_disk(logical, s), s);
       for (int j = 0; j < rows; ++j) {
         arr.restore_element(logical, s, j,
                             buffers[static_cast<std::size_t>(j)]);
         array::Op op{logical, s, j, disk::IoKind::kWrite};
-        if (target >= 0) op.redirect_phys = target;
+        op.redirect_phys = target;
         writes.push_back(op);
       }
     }
+    ++batch_stripes;
 
-    if (ob != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRebuildIssue;
-      ev.t_s = 0.0;
-      ev.stripe = s;
-      ev.rebuild = true;
-      ob->emit(ev);
-    }
-    const auto rstats = arr.execute(reads, 0.0);
-    report.stripe_read_done_s.push_back(rstats.end_s);
-    if (ob != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRebuildComplete;
-      ev.t_s = rstats.end_s;
-      ev.stripe = s;
-      ev.rebuild = true;
-      ob->emit(ev);
-    }
-    report.read_makespan_s = std::max(report.read_makespan_s, rstats.end_s);
-    report.logical_bytes_read += rstats.logical_bytes_read;
-    absorb(rstats);
-    const auto wstats = arr.execute(writes, rstats.end_s);
-    report.total_makespan_s = std::max(report.total_makespan_s, wstats.end_s);
-    report.logical_bytes_recovered += wstats.logical_bytes_written;
-    absorb(wstats);
-
-    if (arr.crashed()) {
+    if (per_stripe && !time_batch(s)) {
       // Power loss mid-stripe: this stripe's replacement writes may be
       // torn, so the conservative watermark excludes it — the resumed
-      // round rebuilds stripe s from scratch. Its writes are not
-      // counted as restored for the same reason.
-      report.elements_read += reads.size();
+      // round rebuilds stripe s from scratch.
       interrupted = true;
       next_stripe = s;
       break;
     }
-
-    report.elements_read += reads.size();
-    report.elements_written += writes.size();
-    ++processed;
   }
+  if (!per_stripe && !time_batch(-1)) interrupted = true;
   report.total_makespan_s =
       std::max(report.total_makespan_s, report.read_makespan_s);
-  report.stripes_processed = processed;
   report.latent_sectors_hit = fc.latent_sectors_hit;
   report.fallback_to_mirror = fc.fallback_to_mirror;
   report.fallback_to_parity = fc.fallback_to_parity;
@@ -567,11 +574,10 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
   }
 
   if (interrupted) {
-    // Record the watermark; disks stay failed, verification is deferred
-    // to the completing round. Multi-round placement history collapses
-    // to the latest round's placement (see RebuildCheckpoint docs).
-    // A crash interruption without a checkpoint simply returns
-    // incomplete — the next round restarts from scratch.
+    // Disks stay failed and verification is deferred to the completing
+    // round. With a checkpoint, record the watermark (multi-round
+    // placement history collapses to the latest round's placement; see
+    // RebuildCheckpoint); without one the next round restarts.
     report.completed = false;
     if (ck != nullptr) {
       ck->failed = failed_physical;
@@ -585,235 +591,10 @@ Result<ReconReport> reconstruct_orchestrated(array::DiskArray& arr,
 
   for (const int p : failed_physical)
     SMA_RETURN_IF_ERROR(arr.physical(p).heal());
-  if (ob != nullptr) {
-    for (const int p : failed_physical) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kHeal;
-      ev.t_s = report.total_makespan_s;
-      ev.disk = p;
-      ob->emit(ev);
-    }
-  }
+  for (const int p : failed_physical)
+    emit(obs::EventKind::kHeal, report.total_makespan_s, p, -1);
   if (ck != nullptr) ck->reset();
   if (opts.verify) {
-    Status ok = arr.verify_consistency(skip.empty() ? nullptr : &skip);
-    if (!ok.is_ok()) return ok;
-  }
-  return report;
-}
-
-}  // namespace
-
-Result<ReconReport> reconstruct(array::DiskArray& arr,
-                                const ReconOptions& opts) {
-  if (arr.crashed())
-    return failed_precondition(
-        "reconstruct on a crashed (powered-off) array: power_cycle() and "
-        "resync before rebuilding");
-  // Orchestration features route to the dedicated path; the default
-  // path below is untouched and stays bit-identical.
-  if (opts.checkpoint != nullptr || opts.max_stripes >= 0 ||
-      (opts.spare_placement != nullptr && opts.spare_placement->active()))
-    return reconstruct_orchestrated(arr, opts);
-
-  const auto failed_physical = arr.failed_physical();
-  ReconReport report;
-  if (failed_physical.empty()) return report;
-
-  obs::Observer* const ob = opts.observer.get();
-  ObsGuard obs_guard;
-  if (ob != nullptr) {
-    arr.set_observer(ob);
-    obs_guard.arr = &arr;
-    for (const int p : failed_physical) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kFailure;
-      ev.t_s = 0.0;
-      ev.disk = p;
-      ob->emit(ev);
-    }
-  }
-
-  const auto& arch = arr.arch();
-  const int rows = arch.rows();
-  const bool faulty = arr.faults_active();
-
-  // Phase 1: plan and recover contents, stripe by stripe, into staging
-  // keyed by (stripe, logical disk).
-  std::vector<std::vector<array::Op>> stripe_reads(
-      static_cast<std::size_t>(arr.stripes()));
-  std::vector<StripeRecovery> staged(static_cast<std::size_t>(arr.stripes()));
-  FaultCounts fc;
-  array::ElementSet skip;
-  for (int s = 0; s < arr.stripes(); ++s) {
-    std::vector<int> failed_logical;
-    failed_logical.reserve(failed_physical.size());
-    for (const int p : failed_physical)
-      failed_logical.push_back(arr.logical_disk(p, s));
-    std::sort(failed_logical.begin(), failed_logical.end());
-
-    auto plan = plan_reconstruction(arch, failed_logical);
-    if (!plan.is_ok()) return plan.status();
-    report.read_accesses_per_stripe = std::max(
-        report.read_accesses_per_stripe, plan.value().read_accesses(arch));
-
-    StripeRecovery& rec = staged[static_cast<std::size_t>(s)];
-    Status recovered =
-        arch.is_mirror()
-            ? recover_mirror_stripe(arr, s, failed_logical, plan.value(),
-                                    rec, fc)
-            : recover_raid_stripe(arr, s, failed_logical, rec, fc);
-    if (!recovered.is_ok()) return recovered;
-    for (const auto& [d, r] : rec.unrecoverable) skip.insert({d, s, r});
-
-    auto& reads = stripe_reads[static_cast<std::size_t>(s)];
-    if (!faulty) {
-      // Fault-free: time the planner's read set, exactly as the
-      // pre-fault executor did (bit-identical timing).
-      for (const auto& read : plan.value().availability_reads)
-        reads.push_back({read.logical_disk, s, read.row, disk::IoKind::kRead});
-      if (opts.include_parity_rebuild)
-        for (const auto& read : plan.value().parity_rebuild_reads)
-          reads.push_back(
-              {read.logical_disk, s, read.row, disk::IoKind::kRead});
-    } else {
-      // Fault-aware: time exactly the reads recovery consumed, fallback
-      // detours included.
-      for (const auto& [d, r] : rec.availability_reads)
-        reads.push_back({d, s, r, disk::IoKind::kRead});
-      if (opts.include_parity_rebuild)
-        for (const auto& [d, r] : rec.parity_rebuild_reads)
-          if (rec.availability_reads.count({d, r}) == 0)
-            reads.push_back({d, s, r, disk::IoKind::kRead});
-    }
-  }
-  report.latent_sectors_hit = fc.latent_sectors_hit;
-  report.fallback_to_mirror = fc.fallback_to_mirror;
-  report.fallback_to_parity = fc.fallback_to_parity;
-  report.fallback_to_codec = fc.fallback_to_codec;
-  report.unrecoverable_elements = fc.unrecoverable_elements;
-
-  // Phase 2: install the recovered contents on the (still-failed)
-  // disks, then heal them — heal() refuses a partially restored disk.
-  std::vector<std::vector<array::Op>> stripe_writes(
-      static_cast<std::size_t>(arr.stripes()));
-  for (int s = 0; s < arr.stripes(); ++s) {
-    for (auto& [logical, buffers] : staged[static_cast<std::size_t>(s)].staged) {
-      for (int j = 0; j < rows; ++j) {
-        arr.restore_element(logical, s, j, buffers[static_cast<std::size_t>(j)]);
-        stripe_writes[static_cast<std::size_t>(s)].push_back(
-            {logical, s, j, disk::IoKind::kWrite});
-      }
-    }
-  }
-  for (const int p : failed_physical)
-    SMA_RETURN_IF_ERROR(arr.physical(p).heal());
-
-  // Phase 3: timing on fresh timelines.
-  report.stripes_processed = arr.stripes();
-  for (int s = 0; s < arr.stripes(); ++s) {
-    report.elements_read += stripe_reads[static_cast<std::size_t>(s)].size();
-    report.elements_written +=
-        stripe_writes[static_cast<std::size_t>(s)].size();
-  }
-  arr.reset_timelines();
-  auto absorb = [&report](const array::BatchStats& stats) {
-    report.retried_ops += stats.retried_ops;
-    report.hard_errors += stats.failed_ops;
-  };
-  if (opts.pipelined) {
-    // Each stripe's writes depend only on that stripe's reads; disks
-    // overlap the next stripe's reads with this stripe's writes.
-    report.stripe_read_done_s.reserve(static_cast<std::size_t>(arr.stripes()));
-    for (int s = 0; s < arr.stripes(); ++s) {
-      if (ob != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kRebuildIssue;
-        ev.t_s = 0.0;
-        ev.stripe = s;
-        ev.rebuild = true;
-        ob->emit(ev);
-      }
-      const auto rstats =
-          arr.execute(stripe_reads[static_cast<std::size_t>(s)], 0.0);
-      report.stripe_read_done_s.push_back(rstats.end_s);
-      if (ob != nullptr) {
-        obs::TraceEvent ev;
-        ev.kind = obs::EventKind::kRebuildComplete;
-        ev.t_s = rstats.end_s;
-        ev.stripe = s;
-        ev.rebuild = true;
-        ob->emit(ev);
-      }
-      report.read_makespan_s = std::max(report.read_makespan_s, rstats.end_s);
-      report.logical_bytes_read += rstats.logical_bytes_read;
-      absorb(rstats);
-      const auto wstats = arr.execute(
-          stripe_writes[static_cast<std::size_t>(s)], rstats.end_s);
-      report.total_makespan_s = std::max(report.total_makespan_s, wstats.end_s);
-      report.logical_bytes_recovered += wstats.logical_bytes_written;
-      absorb(wstats);
-      if (arr.crashed()) {
-        // Power loss during replacement-write timing: contents were
-        // installed in phase 2, but this stripe's writes may be torn
-        // and the remaining stripes' timed writes never issued. The
-        // run is incomplete; consistency cannot be asserted.
-        report.completed = false;
-        break;
-      }
-    }
-    report.total_makespan_s =
-        std::max(report.total_makespan_s, report.read_makespan_s);
-  } else {
-    // Global barrier: all reads, then all replacement writes.
-    std::vector<array::Op> read_ops;
-    std::vector<array::Op> write_ops;
-    for (int s = 0; s < arr.stripes(); ++s) {
-      const auto& rs = stripe_reads[static_cast<std::size_t>(s)];
-      read_ops.insert(read_ops.end(), rs.begin(), rs.end());
-      const auto& ws = stripe_writes[static_cast<std::size_t>(s)];
-      write_ops.insert(write_ops.end(), ws.begin(), ws.end());
-    }
-    if (ob != nullptr) {
-      // One aggregate issue marker: the barrier mode launches the whole
-      // read set at once.
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRebuildIssue;
-      ev.t_s = 0.0;
-      ev.rebuild = true;
-      ob->emit(ev);
-    }
-    const auto read_stats = arr.execute(read_ops, 0.0);
-    report.read_makespan_s = read_stats.elapsed_s();
-    report.logical_bytes_read = read_stats.logical_bytes_read;
-    absorb(read_stats);
-    const auto write_stats = arr.execute(write_ops, report.read_makespan_s);
-    report.total_makespan_s = write_stats.end_s;
-    report.logical_bytes_recovered = write_stats.logical_bytes_written;
-    absorb(write_stats);
-    if (arr.crashed()) report.completed = false;
-    if (ob != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kRebuildComplete;
-      ev.t_s = report.read_makespan_s;
-      ev.rebuild = true;
-      ob->emit(ev);
-    }
-  }
-
-  if (ob != nullptr) {
-    ob->count("recon.bytes_read", report.logical_bytes_read);
-    ob->count("recon.bytes_recovered", report.logical_bytes_recovered);
-    for (const int p : failed_physical) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kHeal;
-      ev.t_s = report.total_makespan_s;
-      ev.disk = p;
-      ob->emit(ev);
-    }
-  }
-
-  if (opts.verify && report.completed) {
     Status ok = arr.verify_consistency(skip.empty() ? nullptr : &skip);
     if (!ok.is_ok()) return ok;
   }

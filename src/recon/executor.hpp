@@ -4,12 +4,16 @@
 // Section VII methodology ("after each reconstruction process, we also
 // compared the original data ... and the recovered data").
 //
-// With fault injection active (DiskArray::faults_active()) the rebuild
-// becomes error-aware: sources that turn out unreadable (latent
-// sectors) are replaced by an alternate redundancy path — the mirror
-// copy, the parity-XOR equation, or a codec decode with the latent
-// column added to the erasure set — and elements with no surviving
-// path are zero-filled and counted instead of aborting the rebuild.
+// One stripe loop does every rebuild. Each stripe is classified against
+// the checkpoint (without one, every stripe is rebuilt in full), then
+// planned, recovered and restored. Recovery is error-aware: a source
+// that turns out unreadable (a latent sector) is replaced by another
+// redundancy path — another copy, the parity-XOR equation, or a codec
+// decode with the latent column added to the erasure set — and elements
+// with no surviving path are zero-filled and counted instead of
+// aborting the rebuild. The timing model is always charged exactly the
+// reads recovery consumed, so on a fault-free array it times the
+// planner's read set.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +37,13 @@ struct ReconOptions {
   /// every redundancy path are excluded from the check and reported in
   /// unrecoverable_elements instead.
   bool verify = true;
-  /// Pipeline the rebuild per stripe: each stripe's replacement writes
+  /// Time the rebuild per stripe: each stripe's replacement writes
   /// start as soon as that stripe's reads complete, overlapping the
   /// next stripe's reads — instead of a global read barrier before any
   /// write. Shortens total_makespan_s; read_makespan_s and the access
-  /// counts are unaffected.
+  /// counts are unaffected. A checkpoint, a stripe budget or an active
+  /// spare placement also times per stripe (the watermark needs each
+  /// stripe's completion), whatever this flag says.
   bool pipelined = false;
   /// Optional observability hooks (borrowed, caller-owned; see
   /// obs::Attach for the uniform semantics). When set, the timing phase
@@ -49,9 +55,10 @@ struct ReconOptions {
   /// Progress watermark (borrowed, caller-owned). When set, the rebuild
   /// resumes from the checkpoint instead of restarting (see
   /// repair::RebuildCheckpoint for the per-stripe skip/partial/dirty
-  /// rules) and, if interrupted by `max_stripes`, records where it
-  /// stopped instead of healing. nullptr = restart-from-scratch
-  /// semantics, bit-identical to the pre-orchestration executor.
+  /// rules) and, if interrupted by `max_stripes` or a power loss,
+  /// records where it stopped. A fresh checkpoint rebuilds every stripe
+  /// in full, reporting exactly what a pipelined rebuild without one
+  /// does. nullptr = restart-from-scratch semantics.
   repair::RebuildCheckpoint* checkpoint = nullptr;
   /// Stripe budget for this call: stop after rebuilding this many
   /// stripes (skipped checkpoint-covered stripes are free). Requires
@@ -72,7 +79,8 @@ struct ReconReport {
   std::uint64_t logical_bytes_recovered = 0;
   /// Paper metric, max over stripes (uniform across stripes in fact).
   int read_accesses_per_stripe = 0;
-  /// Pipelined mode only: when each stripe's availability reads
+  /// Per-stripe timing only (see ReconOptions::pipelined): when each
+  /// stripe's availability reads
   /// completed — i.e. when that stripe's lost data became servable
   /// from recovered state. The recovery-time CDF of the rebuild.
   std::vector<double> stripe_read_done_s;
@@ -107,8 +115,9 @@ struct ReconReport {
   /// from-scratch restart's — the measurable win of checkpointing.
   std::uint64_t elements_read = 0;
   std::uint64_t elements_written = 0;
-  /// False when `max_stripes` interrupted the rebuild: disks are still
-  /// failed, the checkpoint holds the watermark, verification deferred.
+  /// False when `max_stripes` or a power loss interrupted the rebuild:
+  /// disks are still failed, the checkpoint (if any) holds the
+  /// watermark, verification is deferred.
   bool completed = true;
 
   /// True when at least one element could not be recovered.
@@ -119,10 +128,11 @@ struct ReconReport {
   double read_throughput_mbps() const;
 };
 
-/// Rebuild every failed physical disk of `arr` in place: recover
-/// contents, restore + heal the disks, time the reads and replacement
-/// writes, and (if opts.verify) check the whole array. Timing state of
-/// the array is reset at the start so the report is self-contained.
+/// Rebuild every failed physical disk of `arr`: recover and restore
+/// contents, time the reads and replacement writes, then — only if the
+/// rebuild completed — heal the disks and (if opts.verify) check the
+/// whole array. Timing state of the array is reset at the start so the
+/// report is self-contained.
 Result<ReconReport> reconstruct(array::DiskArray& arr,
                                 const ReconOptions& opts = {});
 

@@ -190,7 +190,11 @@ Result<OnlineReport> run_online_reconstruction(array::DiskArray& arr,
       user_bytes_served.assign(ndisks, 0.0);
       retries_seen.assign(ndisks, 0.0);
       for (std::size_t d = 0; d < ndisks; ++d) {
-        const std::string prefix = "d" + std::to_string(d) + ".";
+        // Built piecewise: "d" + std::string&& trips a GCC 12 -O3
+        // -Wrestrict false positive.
+        std::string prefix = "d";
+        prefix += std::to_string(d);
+        prefix += '.';
         metrics->add_probe(
             prefix + "util",
             [&arr, d, last = 0.0](double, double dt) mutable {

@@ -67,7 +67,7 @@ struct OnlineConfig {
   /// arrivals, strict-priority rebuild, no observer, no second-failure
   /// injection, no armed fault machinery — and is bit-identical to the
   /// per-element path there (enforced by test and by the drift gate).
-  /// Off reproduces the seed kernel's one-event-per-element schedule;
+  /// Off schedules one completion event per element;
   /// bench_sim_kernel measures the gap.
   bool batch_drains = true;
   /// Fail-slow detection + hedged-read failover (workload::HedgeConfig).

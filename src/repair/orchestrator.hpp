@@ -44,8 +44,10 @@ struct RepairConfig {
   /// Stripe budget per run() round; -1 = unbounded (a round finishes
   /// the rebuild). A bounded budget requires checkpointing.
   int stripes_per_round = -1;
-  /// Base executor options (pipelined, verify, parity rebuild...); the
-  /// orchestrator fills in checkpoint / max_stripes / spare_placement.
+  /// Base executor options (verify, parity rebuild...); the orchestrator
+  /// fills in checkpoint / max_stripes / spare_placement. A checkpoint or
+  /// stripe budget times the rebuild per stripe, so `pipelined` has no
+  /// effect on such rounds (see ReconOptions::pipelined).
   recon::ReconOptions recon;
   /// Borrowed observer: lifecycle transitions, rebuild events, disk
   /// service spans.

@@ -7,19 +7,6 @@
 
 namespace sma::sim {
 
-void BinaryHeapQueue::push(Event ev) {
-  heap_.push_back(std::move(ev));
-  std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
-Event BinaryHeapQueue::pop_min() {
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  return ev;
-}
-
 namespace {
 constexpr std::size_t kMinBuckets = 32;
 /// Keys above this would risk losing integer precision in the

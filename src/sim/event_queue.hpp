@@ -1,16 +1,16 @@
 // Pending-event containers for the simulation kernel.
 //
-// Both queues order events by `(when, seq)`: earliest timestamp first,
+// The queue orders events by `(when, seq)`: earliest timestamp first,
 // and FIFO among events scheduled for the same instant. That tie-break
 // is a load-bearing contract — the online simulators schedule
 // completion + dispatch pairs at identical timestamps and rely on
-// insertion order — so every backend must honour it exactly.
+// insertion order.
 //
-// CalendarQueue is the production scheduler: a power-of-two ring of
-// date buckets (Brown's calendar queue) giving O(1) amortized insert
-// and extract for the near-uniform event horizons a disk simulation
-// produces. BinaryHeapQueue is the O(log n) reference the property
-// tests compare it against, and doubles as a selectable backend.
+// CalendarQueue is a power-of-two ring of date buckets (Brown's
+// calendar queue) giving O(1) amortized insert and extract for the
+// near-uniform event horizons a disk simulation produces. The property
+// test in sim_event_queue_test checks it against a binary-heap
+// reference.
 #pragma once
 
 #include <cstddef>
@@ -34,22 +34,6 @@ inline bool later(const Event& a, const Event& b) {
   return a.seq > b.seq;
 }
 
-/// Min-queue on (when, seq) via std::push_heap / std::pop_heap.
-/// Owns mutable slots, so extraction moves the event out without the
-/// const_cast the old std::priority_queue backend needed.
-class BinaryHeapQueue {
- public:
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-
-  void push(Event ev);
-  /// Remove and return the earliest event. Precondition: !empty().
-  Event pop_min();
-
- private:
-  std::vector<Event> heap_;
-};
-
 /// Calendar queue: buckets partition time into `width`-sized days; the
 /// ring of `bucket_count` days forms a year. Extraction scans forward
 /// from the current day; insertion drops the event into its day's
@@ -68,8 +52,8 @@ class BinaryHeapQueue {
 /// scheduled at or before the current day (same-instant ties, re-entrant
 /// scheduling during dispatch) land where the next scan finds them
 /// first. The cursor is monotone, which makes the clamp order-safe; the
-/// property test in sim_event_queue_test checks this queue against
-/// BinaryHeapQueue on adversarial schedules.
+/// property test in sim_event_queue_test checks this queue against a
+/// binary-heap reference on adversarial schedules.
 class CalendarQueue {
  public:
   CalendarQueue();

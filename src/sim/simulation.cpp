@@ -1,53 +1,24 @@
 #include "sim/simulation.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "obs/observer.hpp"
 
 namespace sma::sim {
 
-namespace {
-bool g_backend_overridden = false;
-QueueBackend g_backend_override = QueueBackend::kCalendar;
-}  // namespace
-
-QueueBackend default_queue_backend() {
-  if (g_backend_overridden) return g_backend_override;
-  const char* env = std::getenv("SMA_SIM_QUEUE");
-  if (env != nullptr) {
-    if (std::strcmp(env, "heap") == 0) return QueueBackend::kHeap;
-    if (std::strcmp(env, "legacy") == 0) return QueueBackend::kLegacy;
-  }
-  return QueueBackend::kCalendar;
+double Simulation::run() {
+  // A drain to +inf never takes the advance_time(deadline) epilogue:
+  // the loop only exits with the queue empty and now_ < inf.
+  return run_until(std::numeric_limits<double>::infinity());
 }
 
-void set_default_queue_backend(QueueBackend backend) {
-  g_backend_overridden = true;
-  g_backend_override = backend;
-}
-
-std::size_t Simulation::pending_events() const {
-  switch (backend_) {
-    case QueueBackend::kCalendar:
-      return calendar_.size();
-    case QueueBackend::kHeap:
-      return heap_.size();
-    case QueueBackend::kLegacy:
-      return legacy_.size();
-  }
-  return 0;
-}
-
-template <class Q>
-double Simulation::drain_until(Q& queue, double deadline) {
-  while (!queue.empty()) {
-    Event ev = queue.pop_min();
+double Simulation::run_until(double deadline) {
+  while (!calendar_.empty()) {
+    Event ev = calendar_.pop_min();
     if (ev.when > deadline) {
       // Past the horizon: put it back (same seq, so ordering among
       // same-time events is untouched) and stop.
-      queue.push(std::move(ev));
+      calendar_.push(std::move(ev));
       break;
     }
     // Sample metric timelines at every cadence boundary the clock is
@@ -58,43 +29,9 @@ double Simulation::drain_until(Q& queue, double deadline) {
     ++executed_;
     ev.task();
   }
-  if (now_ < deadline && queue.empty()) return now_;
+  if (now_ < deadline && calendar_.empty()) return now_;
   if (observer_ != nullptr) observer_->advance_time(deadline);
   now_ = deadline;
-  return now_;
-}
-
-double Simulation::drain_legacy_until(double deadline) {
-  while (!legacy_.empty() && legacy_.front().when <= deadline) {
-    std::pop_heap(legacy_.begin(), legacy_.end(), legacy_later);
-    LegacyEvent ev = std::move(legacy_.back());
-    legacy_.pop_back();
-    if (observer_ != nullptr) observer_->advance_time(ev.when);
-    now_ = ev.when;
-    ++executed_;
-    ev.fn();
-  }
-  if (now_ < deadline && legacy_.empty()) return now_;
-  if (observer_ != nullptr) observer_->advance_time(deadline);
-  now_ = deadline;
-  return now_;
-}
-
-double Simulation::run() {
-  // A drain to +inf never takes the advance_time(deadline) epilogue:
-  // the loop only exits with the queue empty and now_ < inf.
-  return run_until(std::numeric_limits<double>::infinity());
-}
-
-double Simulation::run_until(double deadline) {
-  switch (backend_) {
-    case QueueBackend::kCalendar:
-      return drain_until(calendar_, deadline);
-    case QueueBackend::kHeap:
-      return drain_until(heap_, deadline);
-    case QueueBackend::kLegacy:
-      return drain_legacy_until(deadline);
-  }
   return now_;
 }
 

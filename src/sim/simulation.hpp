@@ -6,23 +6,16 @@
 // experiments use the disks' timeline model directly and do not need
 // the kernel.
 //
-// The hot path is calendar-queue scheduling (O(1) amortized
+// Events are scheduled on a calendar queue (O(1) amortized
 // insert/extract) over arena-backed sim::Task events (zero steady-state
-// heap traffic). Two alternative backends are selectable per Simulation
-// or process-wide: a binary-heap reference with the same Event/Task
-// machinery, and a "legacy" replica of the original
-// std::priority_queue + std::function kernel kept as the baseline that
-// bench_sim_kernel measures speedups against. All backends honour the
-// same contract: events fire in (when, seq) order — earliest first,
-// FIFO among same-instant events — and produce bit-identical runs.
+// heap traffic). Events fire in (when, seq) order — earliest first,
+// FIFO among same-instant events.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
@@ -33,27 +26,9 @@ struct Observer;
 
 namespace sma::sim {
 
-enum class QueueBackend {
-  kCalendar,  // calendar queue + Task arena (production)
-  kHeap,      // binary heap + Task arena (reference)
-  kLegacy,    // std::function binary heap (seed-kernel cost replica)
-};
-
-/// Backend used by default-constructed Simulations: the programmatic
-/// override if one was set, else the SMA_SIM_QUEUE environment variable
-/// ("calendar", "heap", "legacy"), else kCalendar.
-QueueBackend default_queue_backend();
-/// Process-wide programmatic override (takes precedence over the
-/// environment). Used by benches to compare backends in-process.
-void set_default_queue_backend(QueueBackend backend);
-
 class Simulation {
  public:
-  Simulation() : Simulation(default_queue_backend()) {}
-  explicit Simulation(QueueBackend backend) : backend_(backend) {}
-
   double now() const { return now_; }
-  QueueBackend backend() const { return backend_; }
 
   /// Attach an observer: as the clock advances past metric-sampling
   /// cadence boundaries the kernel drives MetricsRegistry::advance_to,
@@ -67,20 +42,8 @@ class Simulation {
   template <class F>
   void schedule_at(double when, F&& fn) {
     assert(when >= now_ && "cannot schedule into the past");
-    const std::uint64_t seq = next_seq_++;
-    switch (backend_) {
-      case QueueBackend::kCalendar:
-        calendar_.push(Event{when, seq, Task(std::forward<F>(fn), &arena_)});
-        break;
-      case QueueBackend::kHeap:
-        heap_.push(Event{when, seq, Task(std::forward<F>(fn), &arena_)});
-        break;
-      case QueueBackend::kLegacy:
-        legacy_.push_back(
-            LegacyEvent{when, seq, std::function<void()>(std::forward<F>(fn))});
-        std::push_heap(legacy_.begin(), legacy_.end(), legacy_later);
-        break;
-    }
+    calendar_.push(
+        Event{when, next_seq_++, Task(std::forward<F>(fn), &arena_)});
   }
 
   /// Schedule `fn` after `delay` seconds of simulated time.
@@ -97,34 +60,17 @@ class Simulation {
   double run_until(double deadline);
 
   std::size_t executed_events() const { return executed_; }
-  std::size_t pending_events() const;
+  std::size_t pending_events() const { return calendar_.size(); }
 
  private:
-  struct LegacyEvent {
-    double when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  static bool legacy_later(const LegacyEvent& a, const LegacyEvent& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
-
-  template <class Q>
-  double drain_until(Q& queue, double deadline);
-  double drain_legacy_until(double deadline);
-
   double now_ = 0.0;
   obs::Observer* observer_ = nullptr;
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
-  QueueBackend backend_;
-  // The arena outlives the queues (members destroy in reverse order),
-  // so Tasks still pending at teardown release into a live arena.
+  // The arena outlives the queue (members destroy in reverse order), so
+  // Tasks still pending at teardown release into a live arena.
   TaskArena arena_;
   CalendarQueue calendar_;
-  BinaryHeapQueue heap_;
-  std::vector<LegacyEvent> legacy_;
 };
 
 }  // namespace sma::sim

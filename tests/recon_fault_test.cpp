@@ -31,8 +31,10 @@ disk::FaultProfile all_latent(std::uint64_t seed = 1) {
 }
 
 TEST(ReconFaults, InertProfileReportsNoFaultActivity) {
-  array::DiskArray arr(base_cfg(layout::Architecture::mirror_with_parity(3, true)));
-  EXPECT_FALSE(arr.faults_active());
+  const auto cfg = base_cfg(layout::Architecture::mirror_with_parity(3, true));
+  EXPECT_TRUE(cfg.fault.inert());
+  EXPECT_TRUE(cfg.fault_overrides.empty());
+  array::DiskArray arr(cfg);
   arr.initialize();
   arr.fail_physical(0);
   auto report = reconstruct(arr);
@@ -54,7 +56,8 @@ TEST(ReconFaults, LatentReplicaFallsBackToParity) {
   for (int m = 0; m < 3; ++m)
     cfg.fault_overrides[cfg.arch.mirror_disk(m)] = all_latent();
   array::DiskArray arr(cfg);
-  EXPECT_TRUE(arr.faults_active());
+  EXPECT_TRUE(cfg.fault.inert());  // only the per-disk overrides are armed
+  EXPECT_FALSE(cfg.fault_overrides.at(cfg.arch.mirror_disk(0)).inert());
   arr.initialize();
   arr.fail_physical(0);  // a data disk
   auto report = reconstruct(arr);

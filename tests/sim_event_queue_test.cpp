@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -15,6 +16,28 @@ namespace {
 Event make_event(double when, std::uint64_t seq) {
   return Event{when, seq, Task([] {})};
 }
+
+/// O(log n) reference min-queue on (when, seq) via std::push_heap /
+/// std::pop_heap, for the calendar-queue property test.
+class BinaryHeapQueue {
+ public:
+  bool empty() const { return heap_.empty(); }
+
+  void push(Event ev) {
+    heap_.push_back(std::move(ev));
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+
+  Event pop_min() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
+    return ev;
+  }
+
+ private:
+  std::vector<Event> heap_;
+};
 
 // --- Task / TaskArena -------------------------------------------------
 

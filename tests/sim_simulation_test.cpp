@@ -2,16 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <functional>
 #include <vector>
 
 #include "obs/observer.hpp"
 
 namespace sma::sim {
 namespace {
-
-constexpr std::array<QueueBackend, 3> kAllBackends = {
-    QueueBackend::kCalendar, QueueBackend::kHeap, QueueBackend::kLegacy};
 
 TEST(Simulation, RunsEventsInTimeOrder) {
   Simulation sim;
@@ -68,11 +65,14 @@ TEST(Simulation, RunUntilStopsAtDeadline) {
   int fired = 0;
   sim.schedule_at(1.0, [&] { ++fired; });
   sim.schedule_at(5.0, [&] { ++fired; });
+  EXPECT_EQ(sim.pending_events(), 2u);
   EXPECT_DOUBLE_EQ(sim.run_until(3.0), 3.0);
   EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending_events(), 1u);
   // Remaining event still fires on full run.
   sim.run();
   EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Simulation, RunOnEmptyQueueReturnsCurrentTime) {
@@ -80,87 +80,49 @@ TEST(Simulation, RunOnEmptyQueueReturnsCurrentTime) {
   EXPECT_DOUBLE_EQ(sim.run(), 0.0);
 }
 
-TEST(Simulation, AllBackendsProduceIdenticalRuns) {
-  // Same workload on every backend: self-rescheduling ticker plus
-  // same-instant ties. Order, clocks, and counters must match exactly.
-  auto drive = [](QueueBackend backend) {
-    Simulation sim(backend);
-    std::vector<std::pair<int, double>> trace;
-    std::function<void()> tick = [&] {
-      trace.emplace_back(-1, sim.now());
-      if (trace.size() < 20) sim.schedule_in(0.75, tick);
-    };
-    sim.schedule_at(0.0, tick);
-    for (int i = 0; i < 4; ++i)
-      sim.schedule_at(3.0, [&trace, i, &sim] { trace.emplace_back(i, sim.now()); });
-    const double end = sim.run();
-    trace.emplace_back(-2, end);
-    return trace;
-  };
-  const auto reference = drive(QueueBackend::kCalendar);
-  for (const QueueBackend backend : {QueueBackend::kHeap, QueueBackend::kLegacy})
-    EXPECT_EQ(drive(backend), reference);
-}
-
-TEST(Simulation, PendingEventsTracksEveryBackend) {
-  for (const QueueBackend backend : kAllBackends) {
-    Simulation sim(backend);
-    for (int i = 0; i < 3; ++i) sim.schedule_at(1.0 + i, [] {});
-    EXPECT_EQ(sim.pending_events(), 3u);
-    sim.run_until(1.5);
-    EXPECT_EQ(sim.pending_events(), 2u);
-    sim.run();
-    EXPECT_EQ(sim.pending_events(), 0u);
-  }
-}
-
 // Regression for the end-of-run observer contract: when run_until stops
 // at the deadline with events still pending, the observer's sampling
 // clock is advanced to the deadline itself — metrics keep their cadence
 // through quiet tails instead of freezing at the last event.
 TEST(Simulation, RunUntilAdvancesObserverToDeadline) {
-  for (const QueueBackend backend : kAllBackends) {
-    obs::MetricsRegistry reg;
-    reg.set_sample_interval(1.0);
-    std::vector<double> samples;
-    reg.add_probe("t", [&samples](double now, double) {
-      samples.push_back(now);
-      return now;
-    });
-    obs::Observer ob;
-    ob.metrics = &reg;
-    Simulation sim(backend);
-    sim.set_observer(&ob);
-    sim.schedule_at(2.5, [] {});
-    sim.schedule_at(7.5, [] {});
-    EXPECT_DOUBLE_EQ(sim.run_until(5.0), 5.0);
-    // advance_time(2.5) before the event samples t = 0, 1, 2; the
-    // deadline epilogue samples t = 3, 4, 5.
-    EXPECT_EQ(samples, (std::vector<double>{0, 1, 2, 3, 4, 5}));
-    reg.clear_probes();
-  }
+  obs::MetricsRegistry reg;
+  reg.set_sample_interval(1.0);
+  std::vector<double> samples;
+  reg.add_probe("t", [&samples](double now, double) {
+    samples.push_back(now);
+    return now;
+  });
+  obs::Observer ob;
+  ob.metrics = &reg;
+  Simulation sim;
+  sim.set_observer(&ob);
+  sim.schedule_at(2.5, [] {});
+  sim.schedule_at(7.5, [] {});
+  EXPECT_DOUBLE_EQ(sim.run_until(5.0), 5.0);
+  // advance_time(2.5) before the event samples t = 0, 1, 2; the
+  // deadline epilogue samples t = 3, 4, 5.
+  EXPECT_EQ(samples, (std::vector<double>{0, 1, 2, 3, 4, 5}));
+  reg.clear_probes();
 }
 
 TEST(Simulation, RunUntilDrainedEarlyDoesNotAdvanceToDeadline) {
   // The complementary case: the queue drains before the deadline, so
   // run_until returns the drain time and must NOT sample past it.
-  for (const QueueBackend backend : kAllBackends) {
-    obs::MetricsRegistry reg;
-    reg.set_sample_interval(1.0);
-    std::vector<double> samples;
-    reg.add_probe("t", [&samples](double now, double) {
-      samples.push_back(now);
-      return now;
-    });
-    obs::Observer ob;
-    ob.metrics = &reg;
-    Simulation sim(backend);
-    sim.set_observer(&ob);
-    sim.schedule_at(2.5, [] {});
-    EXPECT_DOUBLE_EQ(sim.run_until(5.0), 2.5);
-    EXPECT_EQ(samples, (std::vector<double>{0, 1, 2}));
-    reg.clear_probes();
-  }
+  obs::MetricsRegistry reg;
+  reg.set_sample_interval(1.0);
+  std::vector<double> samples;
+  reg.add_probe("t", [&samples](double now, double) {
+    samples.push_back(now);
+    return now;
+  });
+  obs::Observer ob;
+  ob.metrics = &reg;
+  Simulation sim;
+  sim.set_observer(&ob);
+  sim.schedule_at(2.5, [] {});
+  EXPECT_DOUBLE_EQ(sim.run_until(5.0), 2.5);
+  EXPECT_EQ(samples, (std::vector<double>{0, 1, 2}));
+  reg.clear_probes();
 }
 
 }  // namespace

@@ -78,7 +78,6 @@
 #include "recon/scrub.hpp"
 #include "repair/orchestrator.hpp"
 #include "sim/multi_kernel.hpp"
-#include "sim/simulation.hpp"
 #include "workload/arrival.hpp"
 #include "workload/degraded_read.hpp"
 #include "util/flags.hpp"
@@ -134,9 +133,7 @@ int usage_stream(std::FILE* out, const char* error) {
                "                 --spares=<k> --replenish-h=<h>)\n"
                "  update-penalty  parity updates per data write, by code\n"
                "  simbench      simulation-kernel throughput: timed online\n"
-               "                rebuild under a queue backend\n"
-               "                (--kernel=calendar|heap|legacy, default from\n"
-               "                 SMA_SIM_QUEUE; --batch=0|1 --threads=<k>\n"
+               "                rebuild (--batch=0|1 --threads=<k>\n"
                "                 --cases=<c> --reps=<r> --stacks --rate\n"
                "                 --requests --json)\n"
                "  fleet         many arrays behind a volume placement tier\n"
@@ -831,20 +828,6 @@ int cmd_three_mirror(const Flags& flags) {
 }
 
 int cmd_simbench(const Flags& flags) {
-  // Backend: --kernel wins; otherwise whatever SMA_SIM_QUEUE resolved
-  // to (default_queue_backend() reads the env on first use).
-  sim::QueueBackend backend = sim::default_queue_backend();
-  const std::string kernel = flags.get("kernel", "");
-  if (kernel == "calendar") backend = sim::QueueBackend::kCalendar;
-  else if (kernel == "heap") backend = sim::QueueBackend::kHeap;
-  else if (kernel == "legacy") backend = sim::QueueBackend::kLegacy;
-  else if (!kernel.empty())
-    return usage("--kernel must be calendar|heap|legacy");
-  sim::set_default_queue_backend(backend);
-  const char* backend_name = "legacy";
-  if (backend == sim::QueueBackend::kCalendar) backend_name = "calendar";
-  if (backend == sim::QueueBackend::kHeap) backend_name = "heap";
-
   const bool batch = flags.get_bool("batch", true);
   const int reps = flags.get_int("reps", 3);
   const int threads = flags.get_int("threads", 1);
@@ -868,7 +851,7 @@ int cmd_simbench(const Flags& flags) {
     double rebuild_done_s = 0.0;
     double p99_s = 0.0;
     std::uint64_t ops = 0;       // disk reads + writes
-    std::uint64_t events = 0;    // seed-kernel event count for this case
+    std::uint64_t events = 0;    // per-op kernel event count for this case
     std::uint64_t digest = 0;
     std::string error;
   };
@@ -898,8 +881,8 @@ int cmd_simbench(const Flags& flags) {
       r.ops += c.reads + c.writes;
     }
     // One event per disk op + per arrival + rebuild kickoff + per-disk
-    // dispatch kicks: what the seed kernel schedules for this workload,
-    // so events/sec is comparable across backends and batch modes.
+    // dispatch kicks: what the per-op kernel schedules for this
+    // workload, so events/sec is comparable across batch modes.
     r.events = r.ops + rep.requests_issued + 1 +
                static_cast<std::uint64_t>(arr.total_disks() - 1);
     r.rebuild_done_s = rep.rebuild_done_s;
@@ -961,23 +944,23 @@ int cmd_simbench(const Flags& flags) {
 
   if (json) {
     std::printf(
-        "{\"kernel\": \"%s\", \"batch_drains\": %s, \"threads\": %d, "
+        "{\"batch_drains\": %s, \"threads\": %d, "
         "\"cases\": %d, \"reps\": %d, \"events\": %llu, \"wall_s\": %.6f, "
         "\"events_per_s\": %.0f, \"sim_hours_per_s\": %.3f, "
         "\"rebuild_done_s\": %.6f, \"p99_ms\": %.3f, "
         "\"digest\": \"%016llx\", \"deterministic\": true}\n",
-        backend_name, batch ? "true" : "false", threads, cases, reps,
+        batch ? "true" : "false", threads, cases, reps,
         static_cast<unsigned long long>(events), best_wall, events_per_s,
         sim_hours_per_s, best[0].rebuild_done_s, best[0].p99_s * 1e3,
         static_cast<unsigned long long>(digest));
   } else {
     std::printf(
-        "simbench[%s%s]: %d case(s) x %d rep(s), threads=%d\n"
+        "simbench%s: %d case(s) x %d rep(s), threads=%d\n"
         "  %llu events in %.2f ms best wall: %.2fM events/s, "
         "%.1f sim-hours/s\n"
         "  case 0: rebuild done at %.2f s, p99 %.1f ms; "
         "digest %016llx; deterministic across reps\n",
-        backend_name, batch ? "+batch" : "", cases, reps, threads,
+        batch ? "[batch]" : "", cases, reps, threads,
         static_cast<unsigned long long>(events), best_wall * 1e3,
         events_per_s / 1e6, sim_hours_per_s, best[0].rebuild_done_s,
         best[0].p99_s * 1e3, static_cast<unsigned long long>(digest));
@@ -1433,6 +1416,9 @@ int main(int argc, char** argv) {
   // Retired spellings: ignoring them would run the shifted default.
   if (flags.has("traditional") || flags.has("kind"))
     return usage("--traditional/--kind were removed; use --arrangement=<spec>");
+  if (flags.has("kernel"))
+    return usage("--kernel was removed: the calendar queue is the only "
+                 "event kernel");
 
   int rc;
   if (cmd == "layouts") rc = cmd_layouts(flags);
